@@ -20,7 +20,10 @@
 //!   sharded multi-group deployments (the paper's §10 commutativity
 //!   insight applied at the partition level), with a versioned
 //!   `key → slot → shard` indirection so shards can be added or drained
-//!   by migrating slots.
+//!   by migrating slots;
+//! * [`ShardCoordinator`] — the sans-IO state machine (routing,
+//!   cross-shard `prev`, scatter-gather, version NAKs) the three sharded
+//!   deployment stacks drive.
 //!
 //! Everything here is purely functional/in-memory; the executable
 //! specification lives in `esds-spec`, the distributed algorithm in
@@ -29,6 +32,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod coordinator;
 mod data_type;
 mod error;
 mod eval;
@@ -39,6 +43,7 @@ mod order;
 mod shard;
 mod summary;
 
+pub use coordinator::{Blocker, Effect, OpClass, ShardCoordinator, WholeObjectUnsupported};
 pub use data_type::{commutes_at, oblivious_at, CommutativitySpec, SerialDataType};
 pub use error::{PreconditionError, WellFormednessError};
 pub use eval::{outcome, valset, valset_contains, value_along, values_along};

@@ -12,7 +12,8 @@
 //!
 //! This module holds the vocabulary that the sharded layers
 //! (`esds-harness`'s `ShardedSimSystem`, `esds-runtime`'s
-//! `ShardedService`) share:
+//! `ShardedService`, `esds-wire`'s `ShardedWireService`) and the
+//! [`ShardCoordinator`](crate::ShardCoordinator) they drive share:
 //!
 //! * [`KeyedDataType`] — a serial data type whose operators expose the
 //!   partition key they touch;
@@ -28,15 +29,15 @@
 //! * [`ShardedOpId`] — operation identifiers in the *global* namespace of
 //!   a sharded service (each shard keeps its own per-group [`OpId`](crate::OpId)s).
 //!
-//! Cross-shard `prev` constraints are enforced by the sharded layers, not
+//! Cross-shard `prev` constraints are enforced by the coordinator, not
 //! here: a dependent operation is held back until every foreign-shard
 //! predecessor has been *responded to* by its own group, after which the
 //! constraint is vacuous for the state (disjoint objects commute) and the
 //! client-observed order is preserved.
 //!
-//! The *slot migration protocol itself* also lives in the deployment
-//! layers (`harness::sharded`, `runtime::sharded`); this module only
-//! defines the plan/table algebra they agree on. The unit of transfer is
+//! The *data plane* of a slot migration lives in the deployment layers
+//! (`harness::sharded`, `runtime::sharded`); this module only defines
+//! the plan/table algebra they agree on. The unit of transfer is
 //! a slot's **stable prefix**: once every operation of a slot is stable,
 //! its effect order is final at every replica of the source group, so
 //! replaying that prefix onto the receiving group reproduces exactly the
@@ -296,6 +297,15 @@ impl RoutingTable {
         self.shard_of_slot(self.slot_of_key(key))
     }
 
+    /// The slot an operator is attributed to: its key's slot, or
+    /// [`HOME_SLOT`] for keyless operators.
+    pub fn slot_of<T: KeyedDataType>(&self, dt: &T, op: &T::Operator) -> u16 {
+        match dt.shard_key(op) {
+            Some(k) => self.slot_of_key(k),
+            None => HOME_SLOT,
+        }
+    }
+
     /// The slots currently owned by `shard`, ascending.
     pub fn slots_of(&self, shard: u32) -> Vec<u16> {
         (0..self.slots.len() as u16)
@@ -541,13 +551,10 @@ impl ShardRouter {
         self.table.shard_of_key(key)
     }
 
-    /// The slot an operator is attributed to: its key's slot, or
-    /// [`HOME_SLOT`] for keyless operators.
+    /// The slot an operator is attributed to (see
+    /// [`RoutingTable::slot_of`]).
     pub fn slot_of<T: KeyedDataType>(&self, dt: &T, op: &T::Operator) -> u16 {
-        match dt.shard_key(op) {
-            Some(k) => self.slot_of_key(k),
-            None => HOME_SLOT,
-        }
+        self.table.slot_of(dt, op)
     }
 
     /// The shard an operator is routed to: its slot's current owner.
@@ -570,9 +577,8 @@ impl ShardRouter {
 /// the per-shard identifiers of every same-shard operation reachable from
 /// `prev` through foreign-shard hops.
 ///
-/// This is the one subtle rule of cross-shard `prev` enforcement, shared
-/// by the simulated (`esds-harness`) and threaded (`esds-runtime`)
-/// sharded layers: an answered foreign predecessor's *edge* may be
+/// This is the one subtle rule of cross-shard `prev` enforcement: an
+/// answered foreign predecessor's *edge* may be
 /// dropped (its response precedes the dependent's request), but the
 /// transitive ordering it carried may not — in the chain
 /// `A (shard s) ← B (foreign) ← C (shard s)`, `C` must still be ordered
@@ -581,9 +587,7 @@ impl ShardRouter {
 /// already carries their same-shard transitive closure.
 ///
 /// `node` resolves one global identifier to `(its shard, its local id,
-/// its global prev set)`; callers interleave their own side effects there
-/// (the runtime layer awaits each foreign predecessor's response inside
-/// it). Each node is visited at most once.
+/// its global prev set)`. Each node is visited at most once.
 ///
 /// # Examples
 ///

@@ -1,29 +1,25 @@
 //! A simulated **sharded** ESDS deployment: `S` independent replica
-//! groups, each an unmodified [`SimSystem`], behind one routing layer —
-//! with **live rebalancing** by slot migration.
+//! groups, each an unmodified [`SimSystem`], behind one
+//! [`ShardCoordinator`] — with **live rebalancing** by slot migration.
 //!
-//! The keyspace of a [`KeyedDataType`] is partitioned through a versioned
-//! [`RoutingTable`] (`key → slot → shard`, fixed
-//! [`SLOT_COUNT`](esds_core::SLOT_COUNT) slots); each shard runs the full
-//! Section 6 protocol (gossip, labels, stabilization) over its slice
-//! only, so aggregate throughput scales with the shard count instead of
-//! plateauing at one group's capacity. Operations on different shards
-//! touch disjoint state and commute trivially — the paper's Section 10
-//! commutativity insight applied at the partition level.
+//! Routing, cross-shard `prev`, scatter-gather with its barrier-strict
+//! mode, and frozen-slot deferral are the coordinator's (see its docs);
+//! this module is its virtual-time **driver**. It supplies
 //!
-//! ## Cross-shard `prev` constraints
+//! * `submit`: [`ShardedSimSystem::submit_at`] registers the operation
+//!   at once and *holds* it in the coordinator until its scheduled
+//!   instant, so a migration that freezes its slot in the meantime
+//!   captures it like any live submission;
+//! * `on_answer`: between slices of virtual time, every outstanding
+//!   placement is checked against its shard's front end;
+//! * `on_stability`: a probe is answered from the shard's own replicas —
+//!   the operations the group has answered, and which of them are stable
+//!   everywhere — at most once per shard per pump, so an uncovered
+//!   barrier waits for virtual time to pass instead of spinning;
+//! * `freeze` / `flip`, around the data plane of a migration, below.
 //!
-//! A descriptor's `prev` set may name operations that were routed to
-//! *other* shards. Within a shard, `prev` is enforced by the replica
-//! protocol as usual. Across shards, [`ShardedSimSystem::submit`] holds
-//! the dependent operation back until every foreign operation in its
-//! constraint closure has been **responded to** by its own group; only
-//! then is the operation released to its shard, carrying the same-shard
-//! frontier of its `prev` closure (see [`esds_core::shard_frontier`]). This
-//! preserves the client-observable guarantee (a response to the
-//! predecessor exists before the dependent is even requested) while the
-//! state-level constraint is vacuous: different shards are disjoint
-//! objects, so every cross-shard pair of operations is independent.
+//! `Send` effects become [`SimSystem::submit_at`] calls; the shard's own
+//! front end must mint exactly the identifier the coordinator did.
 //!
 //! ## Slot migration (rebalancing)
 //!
@@ -32,8 +28,8 @@
 //! set). The handoff runs as a four-phase state machine, entirely inside
 //! virtual time, so it is observable under partitions, crashes, and load:
 //!
-//! 1. **Freeze** — new submissions touching a migrating slot are queued
-//!    in the routing layer (deferred, not rejected); everything already
+//! 1. **Freeze** — new submissions touching a migrating slot stay pending
+//!    in the coordinator (deferred, not rejected); everything already
 //!    inside the source group keeps running.
 //! 2. **Replay** — once every already-submitted operation of the
 //!    migrating slots is answered *and stable everywhere* in its source
@@ -45,64 +41,27 @@
 //!    is the natural unit of transfer: it is the largest part of the
 //!    history whose order can never change, and the smallest that every
 //!    future response must reflect.
-//! 3. **Flip** — the routing table version is bumped
-//!    ([`esds_core::RoutingTable::apply`]); from this instant the moved
-//!    slots route to their new owner.
-//! 4. **Drain** — the frozen queue is released through the normal
-//!    deferred path; each drained operation carries a `prev` anchor on
-//!    the last replayed operation of its slot, so the receiving group's
-//!    protocol orders it (and everything after it) behind the replayed
-//!    prefix.
+//! 3. **Flip** — the routing table version is bumped; from this instant
+//!    the moved slots route to their new owner.
+//! 4. **Drain** — the frozen operations are released through the normal
+//!    path; each carries a `prev` anchor on the last replayed operation
+//!    of its slot, so the receiving group's protocol orders it (and
+//!    everything after it) behind the replayed prefix.
 //!
 //! If a source replica is partitioned or crashed, phase 2's stability
 //! gate cannot pass and the migration simply waits — frozen submissions
 //! stay queued and are answered after recovery, never lost.
 //!
-//! ## Whole-object queries: scatter-gather
-//!
-//! A keyless operator touches the whole object, which sharding has cut
-//! into `S` disjoint slices. If the data type can merge partial answers
-//! ([`KeyedDataType::merge_gathered`] — e.g. `Keys`, `ListNames`), the
-//! router executes it as one **sub-operation per involved shard** (every
-//! shard owning at least one slot) and merges the per-shard answers into
-//! the value a single unsharded deployment would have returned:
-//!
-//! * **eventual mode** — sub-operations are scattered immediately and
-//!   merged as they answer: each slice is *some* consistent view of its
-//!   shard, with no cross-shard ordering claim (mirroring the paper's
-//!   eventual consistency level);
-//! * **barrier-strict mode** (`strict = true`) — before scattering, the
-//!   router snapshots each involved shard's **answered frontier** and
-//!   waits until every snapshotted operation is **stable everywhere** in
-//!   its shard. Only then are strict sub-operations submitted: each
-//!   one's freshly-minted label is necessarily greater than every
-//!   frontier label, so each sub-operation is ordered after its shard's
-//!   entire frontier in that shard's eventual total order (Theorem 5.8)
-//!   — the merged answer is a **consistent cut** covering everything
-//!   answered anywhere before the gather began. No 2PC: shards never
-//!   coordinate; the barrier is pure waiting, per shard independently.
-//!   (A bare strict sub-operation is *not* enough: an operation answered
-//!   at a fast-clocked replica before the query can carry a label larger
-//!   than the sub-operation's, excluding it from the answer despite
-//!   having been answered first. The stability-cover wait closes exactly
-//!   that race.)
-//!
-//! A gathered operation participates in `prev` like any other: each
-//! sub-operation carries the same-shard frontier of the gather's `prev`
-//! closure, and a later dependent anchors on the involved shard's own
-//! sub-operation (see [`esds_core::gather_frontier`]). Gathers defer
-//! while a migration is active — the involved-shard set must not change
-//! mid-gather — and keyless operators *without* a merge keep the legacy
-//! home-slot routing, answering from one shard's slice only.
-//!
 //! Shards advance in lockstep: [`ShardedSimSystem::run_until`] drives
-//! every per-shard event queue to the same virtual instant, releasing
-//! deferred operations and advancing any active migration between
-//! slices.
+//! every per-shard event queue to the same virtual instant, pumping the
+//! coordinator and advancing any active migration between slices.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-use esds_core::{ClientId, KeyedDataType, MigrationPlan, OpId, ShardRouter, ShardedOpId};
+use esds_core::{
+    ClientId, Effect, KeyedDataType, MigrationPlan, OpId, RoutingTable, ShardCoordinator,
+    ShardRouter, ShardedOpId, HOME_SLOT,
+};
 use esds_sim::{derive_seed, SimDuration, SimTime};
 
 use crate::system::{SimSystem, SystemConfig};
@@ -124,68 +83,6 @@ impl ShardedSystemConfig {
     pub fn new(n_shards: usize, shard: SystemConfig) -> Self {
         ShardedSystemConfig { n_shards, shard }
     }
-}
-
-/// A deferred submission waiting for foreign-shard predecessors, its
-/// scheduled submission time, or a frozen (migrating) slot.
-struct PendingOp<T: KeyedDataType> {
-    client: ClientId,
-    /// The slot this operation's key hashes to (keyless operators:
-    /// [`esds_core::HOME_SLOT`]). The owning shard is always derived from
-    /// the *current* routing table, so a pending operation follows a
-    /// migration automatically.
-    slot: u16,
-    op: T::Operator,
-    prev: Vec<ShardedOpId>,
-    strict: bool,
-    /// Earliest virtual instant the request may enter the network.
-    at: SimTime,
-}
-
-/// Where a globally-identified operation currently is.
-enum TicketState<T: KeyedDataType> {
-    /// Held back in the routing layer (cross-shard `prev`, scheduled
-    /// time, or frozen slot).
-    Pending(PendingOp<T>),
-    /// Submitted to a shard under a local identifier. The global `prev`
-    /// set is retained so that later dependents can inherit this
-    /// operation's same-shard predecessors through foreign hops (see
-    /// [`ShardedSimSystem::local_frontier`]). Migrations do not need
-    /// per-ticket slot bookkeeping: their stability gate consults the
-    /// source groups' own request logs, which also cover replayed
-    /// operations no ticket ever named.
-    Submitted {
-        shard: u32,
-        local: OpId,
-        prev: Vec<ShardedOpId>,
-    },
-    /// A gatherable whole-object query in barrier-strict mode: released
-    /// from the routing layer, holding each involved shard's answered
-    /// frontier, waiting until every snapshotted operation is stable
-    /// everywhere in its shard before scattering.
-    GatherBarrier {
-        p: PendingOp<T>,
-        frontier: BTreeMap<u32, Vec<OpId>>,
-    },
-    /// A gathered query scattered as one sub-operation per involved
-    /// shard. `merged` is filled once every sub-operation is answered;
-    /// `frontier` retains the barrier obligation (empty in eventual
-    /// mode) so conformance tests can check the cut.
-    GatherScattered {
-        op: T::Operator,
-        subs: BTreeMap<u32, OpId>,
-        prev: Vec<ShardedOpId>,
-        frontier: BTreeMap<u32, Vec<OpId>>,
-        requested_at: SimTime,
-        merged: Option<T::Value>,
-    },
-}
-
-/// An in-progress slot migration (see the module docs' state machine).
-struct Migration {
-    plan: MigrationPlan,
-    /// The slots being moved — frozen until the flip.
-    slots: BTreeSet<u16>,
 }
 
 /// A complete sharded simulated deployment: `S` independent
@@ -216,34 +113,26 @@ struct Migration {
 pub struct ShardedSimSystem<T: KeyedDataType + Clone> {
     dt: T,
     config: ShardedSystemConfig,
-    router: ShardRouter,
+    coord: ShardCoordinator<T>,
     shards: Vec<SimSystem<T>>,
-    tickets: BTreeMap<ShardedOpId, TicketState<T>>,
-    /// Deferred submissions in FIFO order (release preserves per-client
-    /// submission order whenever constraints allow).
-    deferred: VecDeque<ShardedOpId>,
-    /// Gathered queries still in flight: waiting on their barrier or on
-    /// sub-operation answers (see [`TicketState::GatherBarrier`] /
-    /// [`TicketState::GatherScattered`]).
-    active_gathers: Vec<ShardedOpId>,
-    next_seq: BTreeMap<ClientId, u64>,
+    /// The instant each operation was requested for.
+    requested_at: BTreeMap<ShardedOpId, SimTime>,
+    /// Submissions whose instant has not arrived, held in the coordinator.
+    scheduled: BTreeSet<(SimTime, ShardedOpId)>,
+    /// Stability probes left for the next pump to answer.
+    probes: BTreeSet<u32>,
     /// Relay hints of every client, in creation order — replayed into
     /// shards spawned later so per-shard [`ClientId`]s stay aligned.
     client_hints: Vec<u32>,
     /// The active migration, if any (at most one at a time).
-    migration: Option<Migration>,
+    migration: Option<MigrationPlan>,
     /// Internal client used to replay stable prefixes during handoffs.
     migration_client: Option<ClientId>,
-    /// `(shard, slot) →` the last operation of the slot's replayed
-    /// prefix on that shard. Future submissions on the slot carry it as
-    /// an extra `prev` so the receiving group orders them behind the
-    /// transferred history.
-    replay_anchor: BTreeMap<(u32, u16), OpId>,
 }
 
 impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
-    /// Builds `config.n_shards` independent replica groups and a router
-    /// over them.
+    /// Builds `config.n_shards` independent replica groups and a
+    /// coordinator over them.
     ///
     /// # Panics
     ///
@@ -255,17 +144,15 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
             .map(|s| Self::build_shard(&dt, &config.shard, s))
             .collect();
         ShardedSimSystem {
-            router: ShardRouter::new(config.n_shards as u32),
+            coord: ShardCoordinator::new(dt.clone(), RoutingTable::uniform(config.n_shards as u32)),
             dt,
             shards,
-            tickets: BTreeMap::new(),
-            deferred: VecDeque::new(),
-            active_gathers: Vec::new(),
-            next_seq: BTreeMap::new(),
+            requested_at: BTreeMap::new(),
+            scheduled: BTreeSet::new(),
+            probes: BTreeSet::new(),
             client_hints: Vec::new(),
             migration: None,
             migration_client: None,
-            replay_anchor: BTreeMap::new(),
             config,
         }
     }
@@ -278,7 +165,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
 
     /// The router (key → slot → shard map), at its current version.
     pub fn router(&self) -> ShardRouter {
-        self.router.clone()
+        ShardRouter::from_table(self.coord.table().clone())
     }
 
     /// The configuration (per-shard template; new shards clone it).
@@ -288,7 +175,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
 
     /// The routing-table version: how many migrations have completed.
     pub fn table_version(&self) -> u64 {
-        self.router.version()
+        self.coord.table().version()
     }
 
     /// Number of shards (including drained ones, which own no slots).
@@ -304,7 +191,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// Mutable access to one shard's system — for scheduling
     /// [`crate::FaultEvent`]s against a single group in fault/chaos
     /// scenarios. Submit operations only through the sharded API, never
-    /// directly through this handle, or global identifiers will drift.
+    /// directly through this handle, or per-shard identifiers will drift
+    /// from the ones the coordinator mints.
     ///
     /// # Panics
     ///
@@ -330,15 +218,11 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
             ids.all(|i| i == c),
             "per-shard client ids diverged; add clients only through ShardedSimSystem"
         );
-        self.next_seq.insert(c, 0);
         self.client_hints.push(hint);
         c
     }
 
-    /// Submits an operation *now*. Routes it by its shard key, translates
-    /// the same-shard part of `prev` to local identifiers, and defers the
-    /// submission while any foreign-shard predecessor is still unanswered
-    /// or the slot is frozen by a migration (see the module docs).
+    /// Submits an operation *now* (see [`ShardedSimSystem::submit_at`]).
     ///
     /// # Panics
     ///
@@ -357,8 +241,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// Submits an operation at a future virtual time (the open-loop
     /// workload driver, mirroring [`SimSystem::submit_at`]). The global
     /// identifier is assigned immediately; the request is held in the
-    /// routing layer until `at`, so a migration that freezes its slot in
-    /// the meantime captures it like any live submission.
+    /// coordinator until `at`, and then until its slot is not frozen and
+    /// every foreign-shard predecessor is answered.
     ///
     /// # Panics
     ///
@@ -372,387 +256,97 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         prev: &[ShardedOpId],
         strict: bool,
     ) -> ShardedOpId {
-        let seq = self
-            .next_seq
-            .get_mut(&client)
-            .expect("unknown client; use add_client");
-        let gid = ShardedOpId::new(client, *seq);
-        *seq += 1;
-        let slot = self.router.slot_of(&self.dt, &op);
-        let pending = PendingOp {
-            client,
-            slot,
-            op,
-            prev: prev.to_vec(),
-            strict,
-            at,
-        };
-        if self.is_ready(&pending) {
-            self.release(gid, pending);
-        } else {
-            self.tickets.insert(gid, TicketState::Pending(pending));
-            self.deferred.push_back(gid);
+        assert!(
+            (client.0 as usize) < self.client_hints.len(),
+            "unknown client; use add_client"
+        );
+        let gid = self.coord.submit(client, op, prev, strict);
+        self.requested_at.insert(gid, at);
+        if at > self.now() {
+            self.coord.hold(gid);
+            self.scheduled.insert((at, gid));
         }
+        self.pump();
         gid
     }
 
-    /// Whether `slot` is currently frozen by an active migration.
-    fn is_frozen(&self, slot: u16) -> bool {
-        self.migration
-            .as_ref()
-            .is_some_and(|m| m.slots.contains(&slot))
-    }
-
-    /// Whether `p` may be handed to its shard: its scheduled time has
-    /// arrived, its slot is not frozen, every `prev` entry has itself
-    /// been released, and every **foreign** operation reachable in the
-    /// constraint closure (the same nodes [`esds_core::shard_frontier`]
-    /// visits: descend through foreign nodes, stop at same-shard ones) is
-    /// answered.
-    ///
-    /// Direct answeredness does *not* propagate transitively — a foreign
-    /// predecessor can be answered by a replica that learned *its* own
-    /// predecessors through gossip before those were answered — so the
-    /// walk checks every visited foreign node explicitly, exactly as the
-    /// threaded `ShardedClient` awaits each one.
-    fn is_ready(&self, p: &PendingOp<T>) -> bool {
-        if self.dt.is_gatherable(&p.op) {
-            return self.gather_ready(p);
-        }
-        if p.at > self.now() || self.is_frozen(p.slot) {
-            return false;
-        }
-        let target = self.router.table().shard_of_slot(p.slot);
-        let mut visited: BTreeSet<ShardedOpId> = BTreeSet::new();
-        let mut stack: Vec<ShardedOpId> = p.prev.clone();
-        while let Some(g) = stack.pop() {
-            if !visited.insert(g) {
-                continue;
+    /// Feeds the coordinator what the shards have done since the last
+    /// pump — scheduled instants reached, answers delivered, stability of
+    /// probed frontiers — and executes its effects, to fixpoint.
+    fn pump(&mut self) {
+        let now = self.now();
+        while let Some((at, gid)) = self.scheduled.first().copied() {
+            if at > now {
+                break;
             }
-            match self.tickets.get(&g) {
-                None => panic!("prev {g} was never submitted to this system"),
-                Some(TicketState::Pending(_)) | Some(TicketState::GatherBarrier { .. }) => {
-                    return false
-                }
-                Some(TicketState::Submitted {
-                    shard, local, prev, ..
-                }) => {
-                    if *shard != target {
-                        if self.shards[*shard as usize].response(*local).is_none() {
-                            return false;
-                        }
-                        stack.extend(prev.iter().copied());
-                    }
-                }
-                Some(TicketState::GatherScattered {
-                    subs, prev, merged, ..
-                }) => {
-                    // A sub-operation on the target shard anchors the
-                    // dependent in-shard (inherited by local_frontier);
-                    // otherwise the gather is foreign and must be fully
-                    // answered before its edge can be dropped.
-                    if !subs.contains_key(&target) {
-                        if merged.is_none() {
-                            return false;
-                        }
-                        stack.extend(prev.iter().copied());
-                    }
-                }
-            }
+            self.scheduled.remove(&(at, gid));
+            self.coord.unhold(gid);
         }
-        true
-    }
-
-    /// Whether a gatherable whole-object query may scatter: its time has
-    /// arrived, no migration is active (the involved-shard set must not
-    /// change mid-gather — this also closes the keyless/flip race: a
-    /// whole-object query can never land on a shard that just
-    /// replayed-and-drained), and every predecessor in its constraint
-    /// closure is either placed on an involved shard (the gather's own
-    /// sub-operation there will carry the ordering) or answered.
-    fn gather_ready(&self, p: &PendingOp<T>) -> bool {
-        if p.at > self.now() || self.migration.is_some() {
-            return false;
+        let mut reported = BTreeSet::new();
+        for shard in std::mem::take(&mut self.probes) {
+            reported.insert(shard);
+            self.report_stability(shard);
         }
-        let involved: BTreeSet<u32> = self.router.table().involved_shards().into_iter().collect();
-        let mut visited: BTreeSet<ShardedOpId> = BTreeSet::new();
-        let mut stack: Vec<ShardedOpId> = p.prev.clone();
-        while let Some(g) = stack.pop() {
-            if !visited.insert(g) {
-                continue;
-            }
-            match self.tickets.get(&g) {
-                None => panic!("prev {g} was never submitted to this system"),
-                Some(TicketState::Pending(_)) | Some(TicketState::GatherBarrier { .. }) => {
-                    return false
-                }
-                Some(TicketState::Submitted {
-                    shard, local, prev, ..
-                }) => {
-                    if !involved.contains(shard) {
-                        // Placed on a drained shard no sub-operation
-                        // will visit: must be answered, like any
-                        // foreign predecessor.
-                        if self.shards[*shard as usize].response(*local).is_none() {
-                            return false;
-                        }
-                        stack.extend(prev.iter().copied());
-                    }
-                }
-                Some(TicketState::GatherScattered { merged, .. }) => {
-                    if merged.is_none() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// The `prev` constraints to carry into shard `shard`: the local ids
-    /// of every same-shard operation reachable from `prev` through
-    /// foreign hops — [`esds_core::gather_frontier`] over the ticket map
-    /// (a gathered predecessor anchors on its own sub-operation in
-    /// `shard`). Every foreign node the walk visits is already answered
-    /// (checked over the same closure by [`ShardedSimSystem::is_ready`]),
-    /// so only ordering must be inherited here, not awaited.
-    fn local_frontier(&self, prev: &[ShardedOpId], shard: u32) -> Vec<OpId> {
-        esds_core::gather_frontier(prev, shard, |g| match self.tickets.get(&g) {
-            Some(TicketState::Submitted {
-                shard: s,
-                local,
-                prev,
-                ..
-            }) => (vec![(*s, *local)], prev.clone()),
-            Some(TicketState::GatherScattered { subs, prev, .. }) => {
-                (subs.iter().map(|(s, l)| (*s, *l)).collect(), prev.clone())
-            }
-            _ => unreachable!("is_ready guarantees every predecessor is released"),
-        })
-    }
-
-    /// Hands a ready operation to its shard (derived from the *current*
-    /// routing table) and records its placement. Operations landing on a
-    /// slot with a replayed prefix carry a `prev` anchor on the last
-    /// replayed operation, ordering them behind the transferred history.
-    fn release(&mut self, gid: ShardedOpId, p: PendingOp<T>) {
-        if self.dt.is_gatherable(&p.op) {
-            self.release_gather(gid, p);
-            return;
-        }
-        let shard = self.router.table().shard_of_slot(p.slot);
-        let mut local_prev = self.local_frontier(&p.prev, shard);
-        if let Some(anchor) = self.replay_anchor.get(&(shard, p.slot)) {
-            local_prev.push(*anchor);
-        }
-        let target = &mut self.shards[shard as usize];
-        let at = p.at.max(target.now());
-        let local = target.submit_at(at, p.client, p.op, &local_prev, p.strict);
-        self.tickets.insert(
-            gid,
-            TicketState::Submitted {
-                shard,
-                local,
-                prev: p.prev,
-            },
-        );
-    }
-
-    /// Routes a ready gatherable query: barrier-strict queries snapshot
-    /// every involved shard's answered frontier and wait for stability
-    /// cover ([`ShardedSimSystem::pump_gathers`] scatters them once
-    /// covered); eventual queries scatter immediately.
-    fn release_gather(&mut self, gid: ShardedOpId, p: PendingOp<T>) {
-        if p.strict {
-            let frontier: BTreeMap<u32, Vec<OpId>> = self
-                .router
-                .table()
-                .involved_shards()
-                .into_iter()
-                .map(|s| (s, self.answered_frontier(s)))
+        loop {
+            let answered: Vec<(u32, OpId, T::Value)> = self
+                .coord
+                .outstanding()
+                .filter_map(|(s, l)| Some((s, l, self.shards[s as usize].response(l)?.clone())))
                 .collect();
-            self.tickets
-                .insert(gid, TicketState::GatherBarrier { p, frontier });
-            self.active_gathers.push(gid);
-        } else {
-            self.scatter(gid, p, BTreeMap::new());
+            for (s, l, v) in answered {
+                self.coord.on_answer(s, l, v, None);
+            }
+            let effects = self.coord.poll();
+            if effects.is_empty() {
+                return;
+            }
+            for e in effects {
+                match e {
+                    Effect::Send {
+                        shard,
+                        global,
+                        desc,
+                        ..
+                    } => {
+                        let target = &mut self.shards[shard as usize];
+                        let at = self.requested_at[&global].max(target.now());
+                        let prev: Vec<OpId> = desc.prev.into_iter().collect();
+                        let local =
+                            target.submit_at(at, desc.id.client(), desc.op, &prev, desc.strict);
+                        assert_eq!(
+                            local, desc.id,
+                            "shard {shard} was submitted to behind the coordinator's back"
+                        );
+                    }
+                    Effect::ProbeStability { shard } => {
+                        if reported.insert(shard) {
+                            self.report_stability(shard);
+                        } else {
+                            self.probes.insert(shard);
+                        }
+                    }
+                    Effect::Answered { .. } => {}
+                }
+            }
         }
     }
 
-    /// Every operation some replica of `shard` has responded to — the
-    /// shard's answered frontier, the barrier's unit of snapshot.
-    fn answered_frontier(&self, shard: u32) -> Vec<OpId> {
+    /// Answers a stability probe: every operation some replica of `shard`
+    /// has responded to, and which of those are stable everywhere.
+    fn report_stability(&mut self, shard: u32) {
         let sys = &self.shards[shard as usize];
-        sys.requested()
+        let answered: Vec<OpId> = sys
+            .requested()
             .keys()
             .filter(|id| sys.response(**id).is_some())
             .copied()
-            .collect()
-    }
-
-    /// Whether every snapshotted frontier operation is stable everywhere
-    /// in its shard — the barrier condition.
-    fn barrier_covered(&self, frontier: &BTreeMap<u32, Vec<OpId>>) -> bool {
-        frontier.iter().all(|(s, ids)| {
-            let sys = &self.shards[*s as usize];
-            ids.iter().all(|id| sys.op_is_stable_everywhere(*id))
-        })
-    }
-
-    /// Submits one sub-operation of a gathered query per involved shard,
-    /// carrying the gather's same-shard `prev` frontier plus an anchor
-    /// behind any prefix replayed onto the shard by past migrations (so
-    /// the query cannot observe a pre-handoff state).
-    fn scatter(&mut self, gid: ShardedOpId, p: PendingOp<T>, frontier: BTreeMap<u32, Vec<OpId>>) {
-        let involved = self.router.table().involved_shards();
-        let mut subs = BTreeMap::new();
-        for s in involved {
-            let mut local_prev = self.local_frontier(&p.prev, s);
-            for ((sh, _), anchor) in self.replay_anchor.iter() {
-                if *sh == s {
-                    local_prev.push(*anchor);
-                }
-            }
-            let target = &mut self.shards[s as usize];
-            let at = p.at.max(target.now());
-            let local = target.submit_at(at, p.client, p.op.clone(), &local_prev, p.strict);
-            subs.insert(s, local);
-        }
-        self.tickets.insert(
-            gid,
-            TicketState::GatherScattered {
-                op: p.op,
-                subs,
-                prev: p.prev,
-                frontier,
-                requested_at: p.at,
-                merged: None,
-            },
-        );
-        self.active_gathers.push(gid);
-    }
-
-    /// Advances in-flight gathers: scatters barrier gathers whose
-    /// frontier is now covered, merges scattered gathers whose
-    /// sub-operations are all answered. Returns whether anything moved.
-    fn pump_gathers(&mut self) -> bool {
-        enum Step {
-            Wait,
-            Scatter,
-            Merge,
-            Done,
-        }
-        let mut progressed = false;
-        let gids: Vec<ShardedOpId> = std::mem::take(&mut self.active_gathers);
-        for gid in gids {
-            let step = match self.tickets.get(&gid) {
-                Some(TicketState::GatherBarrier { frontier, .. }) => {
-                    if self.barrier_covered(frontier) {
-                        Step::Scatter
-                    } else {
-                        Step::Wait
-                    }
-                }
-                Some(TicketState::GatherScattered { subs, merged, .. }) => {
-                    if merged.is_some() {
-                        Step::Done
-                    } else if subs
-                        .iter()
-                        .all(|(s, l)| self.shards[*s as usize].response(*l).is_some())
-                    {
-                        Step::Merge
-                    } else {
-                        Step::Wait
-                    }
-                }
-                _ => unreachable!("active gather must be a gather ticket"),
-            };
-            match step {
-                Step::Wait => self.active_gathers.push(gid),
-                Step::Done => {}
-                Step::Scatter => {
-                    let Some(TicketState::GatherBarrier { p, frontier }) =
-                        self.tickets.remove(&gid)
-                    else {
-                        unreachable!("checked above");
-                    };
-                    self.scatter(gid, p, frontier);
-                    progressed = true;
-                }
-                Step::Merge => {
-                    let (op, parts) = {
-                        let Some(TicketState::GatherScattered { op, subs, .. }) =
-                            self.tickets.get(&gid)
-                        else {
-                            unreachable!("checked above");
-                        };
-                        let parts: Vec<T::Value> = subs
-                            .iter()
-                            .map(|(s, l)| {
-                                self.shards[*s as usize]
-                                    .response(*l)
-                                    .expect("checked")
-                                    .clone()
-                            })
-                            .collect();
-                        (op.clone(), parts)
-                    };
-                    let v = self
-                        .dt
-                        .merge_gathered(&op, parts)
-                        .expect("scattered operators are gatherable");
-                    let Some(TicketState::GatherScattered { merged, .. }) =
-                        self.tickets.get_mut(&gid)
-                    else {
-                        unreachable!("checked above");
-                    };
-                    *merged = Some(v);
-                    progressed = true;
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Releases every deferred operation whose predecessors, schedule,
-    /// and slot are now clear, and advances in-flight gathers, to
-    /// fixpoint (one release can unblock another; a merged gather can
-    /// unblock a deferred dependent).
-    fn pump(&mut self) {
-        loop {
-            self.pump_deferred();
-            if !self.pump_gathers() {
-                return;
-            }
-        }
-    }
-
-    /// One sub-step of [`ShardedSimSystem::pump`]: the deferred queue
-    /// alone, to fixpoint.
-    fn pump_deferred(&mut self) {
-        loop {
-            let mut progressed = false;
-            let mut still: VecDeque<ShardedOpId> = VecDeque::new();
-            while let Some(gid) = self.deferred.pop_front() {
-                let ready = match self.tickets.get(&gid) {
-                    Some(TicketState::Pending(p)) => self.is_ready(p),
-                    _ => unreachable!("deferred ticket must be pending"),
-                };
-                if !ready {
-                    still.push_back(gid);
-                    continue;
-                }
-                let Some(TicketState::Pending(p)) = self.tickets.remove(&gid) else {
-                    unreachable!("checked above");
-                };
-                self.release(gid, p);
-                progressed = true;
-            }
-            self.deferred = still;
-            if !progressed || self.deferred.is_empty() {
-                return;
-            }
-        }
+            .collect();
+        let stable = answered
+            .iter()
+            .filter(|id| sys.op_is_stable_everywhere(**id))
+            .copied()
+            .collect();
+        self.coord.on_stability(shard, answered, &stable);
     }
 
     // ------------------------------------------------------------------
@@ -779,7 +373,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         );
         assert_eq!(
             plan.from_version(),
-            self.router.version(),
+            self.table_version(),
             "migration plan is stale"
         );
         while (self.shards.len() as u32) < plan.n_shards_after() {
@@ -794,10 +388,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         if self.migration_client.is_none() {
             self.migration_client = Some(self.add_client(0));
         }
-        self.migration = Some(Migration {
-            slots: plan.slots(),
-            plan,
-        });
+        self.coord.freeze(plan.slots());
+        self.migration = Some(plan);
         // A quiescent system can hand off immediately.
         self.try_complete_migration();
     }
@@ -805,8 +397,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// Convenience: plan and start an add-shard migration (the new
     /// group takes ~`1/(S+1)` of the slots). Returns the new shard's id.
     pub fn begin_add_shard(&mut self) -> u32 {
-        let plan = MigrationPlan::add_shard(self.router.table());
-        let new = self.router.n_shards();
+        let plan = MigrationPlan::add_shard(self.coord.table());
+        let new = self.coord.table().n_shards();
         self.begin_migration(plan);
         new
     }
@@ -815,7 +407,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// over the remaining shards; the group itself stays alive to finish
     /// answering what it already accepted).
     pub fn begin_drain_shard(&mut self, shard: u32) {
-        let plan = MigrationPlan::drain_shard(self.router.table(), shard);
+        let plan = MigrationPlan::drain_shard(self.coord.table(), shard);
         self.begin_migration(plan);
     }
 
@@ -827,10 +419,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
 
     /// The slots currently frozen by the active migration.
     pub fn frozen_slots(&self) -> BTreeSet<u16> {
-        self.migration
-            .as_ref()
-            .map(|m| m.slots.clone())
-            .unwrap_or_default()
+        self.coord.frozen().clone()
     }
 
     /// A group's operations on `slot`, restricted to its stable prefix,
@@ -841,7 +430,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         sys.stable_prefix()
             .expect("caller checks liveness")
             .into_iter()
-            .filter(|id| self.router.slot_of(&self.dt, &sys.requested()[id].op) == slot)
+            .filter(|id| self.coord.slot_of(&sys.requested()[id].op) == slot)
             .collect()
     }
 
@@ -853,12 +442,11 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// replica (e.g. during a partition or outage — the migration simply
     /// waits), or when no migration is active.
     fn try_complete_migration(&mut self) {
-        let Some(m) = &self.migration else { return };
+        let Some(plan) = &self.migration else { return };
         // Phase 2 gate, part 1: every group a move touches — source or
         // destination — must have all replicas alive, so both sides'
         // stability knowledge is complete.
-        let involved: BTreeSet<u32> = m
-            .plan
+        let involved: BTreeSet<u32> = plan
             .moves()
             .iter()
             .flat_map(|mv| [mv.from, mv.to])
@@ -873,20 +461,20 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         // handoffs' replays alike — must be answered and stable
         // everywhere in its group, so the slot's serialization is final
         // and fully transferable. Checked against each group's own
-        // request log, not the ticket map: a back-to-back migration of a
+        // request log, not the coordinator: a back-to-back migration of a
         // just-moved slot must wait for the previous handoff's replayed
         // prefix to stabilize on the group it is now moving out of.
         for shard in &involved {
             let sys = &self.shards[*shard as usize];
             for (id, desc) in sys.requested() {
-                if m.slots.contains(&self.router.slot_of(&self.dt, &desc.op))
+                if self.coord.frozen().contains(&self.coord.slot_of(&desc.op))
                     && (sys.response(*id).is_none() || !sys.op_is_stable_everywhere(*id))
                 {
                     return;
                 }
             }
         }
-        let m = self.migration.take().expect("checked above");
+        let plan = self.migration.take().expect("checked above");
         let mc = self.migration_client.expect("set at begin_migration");
         // Phase 2: replay each slot's stable prefix, in its final
         // minimum-label order, onto the receiving group. `prev` chains
@@ -901,7 +489,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         // that shared prefix is replayed — re-applying the shared part
         // would double-apply non-idempotent operators (a bank deposit
         // counted twice).
-        for mv in m.plan.moves() {
+        let mut anchors = Vec::new();
+        for mv in plan.moves() {
             let src_timeline = self.slot_timeline(mv.from, mv.slot);
             let already_held = self.slot_timeline(mv.to, mv.slot);
             assert!(
@@ -925,12 +514,10 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
                 let dest = &mut self.shards[mv.to as usize];
                 anchor = Some(dest.submit(mc, op, &prev, false));
             }
-            if let Some(a) = anchor {
-                self.replay_anchor.insert((mv.to, mv.slot), a);
-            }
+            anchors.extend(anchor.map(|a| ((mv.to, mv.slot), a)));
         }
         // Phase 3: flip the table; phase 4: drain the frozen queue.
-        self.router.apply(&m.plan);
+        self.coord.flip(&plan, anchors);
         self.pump();
     }
 
@@ -940,8 +527,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
 
     /// Runs every shard to virtual time `t` in lockstep (slices of the
     /// gossip interval, shortened so scheduled submissions release on
-    /// time), releasing deferred submissions and advancing any active
-    /// migration between slices.
+    /// time), pumping the coordinator and advancing any active migration
+    /// between slices.
     pub fn run_until(&mut self, t: SimTime) {
         let slice = self.config.shard.gossip_interval;
         loop {
@@ -950,8 +537,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
                 return;
             }
             let mut target = (now + slice).min(t);
-            if let Some(next_at) = self.next_scheduled_release(now) {
-                target = target.min(next_at);
+            if let Some((next_at, _)) = self.scheduled.first() {
+                target = target.min(*next_at);
             }
             for s in &mut self.shards {
                 s.run_until(target);
@@ -959,17 +546,6 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
             self.pump();
             self.try_complete_migration();
         }
-    }
-
-    /// The earliest future release instant among deferred submissions.
-    fn next_scheduled_release(&self, now: SimTime) -> Option<SimTime> {
-        self.deferred
-            .iter()
-            .filter_map(|gid| match self.tickets.get(gid) {
-                Some(TicketState::Pending(p)) if p.at > now => Some(p.at),
-                _ => None,
-            })
-            .min()
     }
 
     /// Runs for a span of virtual time.
@@ -989,7 +565,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// because replayed and drained operations are ordinary requests of
     /// the receiving shard.
     ///
-    /// The release pump runs **before** the step, not after: a released
+    /// The pump runs **before** the step, not after: a released
     /// operation (and in particular a scattered whole-object query,
     /// whose sub-operations land on *every* involved shard at once —
     /// including `shard` itself) must appear in the next report the
@@ -1020,8 +596,8 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// and stabilized within its group, and no migration is pending.
     pub fn is_converged(&self) -> bool {
         self.migration.is_none()
-            && self.deferred.is_empty()
-            && self.active_gathers.is_empty()
+            && self.coord.pending().next().is_none()
+            && self.coord.gathers_in_flight().is_empty()
             && self.shards.iter().all(|s| s.is_converged())
     }
 
@@ -1034,23 +610,20 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         while !self.is_converged() {
             if self.now() >= max {
                 let mut parts: Vec<String> = Vec::new();
-                if let Some(m) = &self.migration {
+                if self.migration.is_some() {
                     parts.push(format!(
                         "migration of slots {:?} not handed off",
-                        m.slots.iter().collect::<Vec<_>>()
+                        self.coord.frozen()
                     ));
                 }
-                if !self.deferred.is_empty() {
-                    let held: Vec<String> = self.deferred.iter().map(|g| g.to_string()).collect();
-                    parts.push(format!("{} deferred {held:?}", self.deferred.len()));
+                let held: Vec<String> = self.coord.pending().map(|g| g.to_string()).collect();
+                if !held.is_empty() {
+                    parts.push(format!("{} deferred {held:?}", held.len()));
                 }
-                if !self.active_gathers.is_empty() {
-                    let held: Vec<String> =
-                        self.active_gathers.iter().map(|g| g.to_string()).collect();
-                    parts.push(format!(
-                        "{} gathers in flight {held:?}",
-                        self.active_gathers.len()
-                    ));
+                let gathers = self.coord.gathers_in_flight();
+                if !gathers.is_empty() {
+                    let held: Vec<String> = gathers.iter().map(|g| g.to_string()).collect();
+                    parts.push(format!("{} gathers in flight {held:?}", held.len()));
                 }
                 for (i, s) in self.shards.iter().enumerate() {
                     if !s.is_converged() {
@@ -1097,11 +670,7 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// no single placement — `None` here; see
     /// [`ShardedSimSystem::gather_detail`].
     pub fn placement(&self, id: ShardedOpId) -> Option<(u32, Option<OpId>)> {
-        match self.tickets.get(&id)? {
-            TicketState::Pending(p) => Some((self.router.table().shard_of_slot(p.slot), None)),
-            TicketState::Submitted { shard, local, .. } => Some((*shard, Some(*local))),
-            TicketState::GatherBarrier { .. } | TicketState::GatherScattered { .. } => None,
-        }
+        self.coord.placement(id)
     }
 
     /// A gathered query's per-shard sub-operations and, in barrier-strict
@@ -1114,29 +683,23 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         &self,
         id: ShardedOpId,
     ) -> Option<(&BTreeMap<u32, OpId>, &BTreeMap<u32, Vec<OpId>>)> {
-        match self.tickets.get(&id)? {
-            TicketState::GatherScattered { subs, frontier, .. } => Some((subs, frontier)),
-            _ => None,
-        }
+        self.coord.gather_detail(id)
     }
 
     /// The response delivered for `id`, if any. For a gathered query this
     /// is the merged whole-object answer, available once every involved
     /// shard has answered its sub-operation.
     pub fn response(&self, id: ShardedOpId) -> Option<&T::Value> {
-        match self.tickets.get(&id)? {
-            TicketState::Pending { .. } | TicketState::GatherBarrier { .. } => None,
-            TicketState::Submitted { shard, local, .. } => {
-                self.shards[*shard as usize].response(*local)
-            }
-            TicketState::GatherScattered { merged, .. } => merged.as_ref(),
+        match self.coord.placement(id) {
+            Some((shard, local)) => self.shards[shard as usize].response(local?),
+            None => self.coord.value_of(id),
         }
     }
 
     /// Total operations submitted through this system (excluding
     /// internal stable-prefix replays).
     pub fn submitted_count(&self) -> usize {
-        self.tickets.len()
+        self.coord.ids().count()
     }
 
     /// Total operations answered across all shards (including internal
@@ -1149,15 +712,9 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// stable-prefix replays) — the numerator rebalancing experiments
     /// should use, so handoff traffic doesn't inflate throughput.
     pub fn completed_client_ops(&self) -> usize {
-        self.tickets
-            .values()
-            .filter(|t| match t {
-                TicketState::Pending(_) | TicketState::GatherBarrier { .. } => false,
-                TicketState::Submitted { shard, local, .. } => {
-                    self.shards[*shard as usize].response(*local).is_some()
-                }
-                TicketState::GatherScattered { merged, .. } => merged.is_some(),
-            })
+        self.coord
+            .ids()
+            .filter(|id| self.response(*id).is_some())
             .count()
     }
 
@@ -1178,47 +735,36 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
     /// toward latency — it is part of what the client pays) and
     /// `responded` the instant the *last* sub-operation answered.
     pub fn op_timing(&self, id: ShardedOpId) -> Option<(SimTime, Option<SimTime>)> {
-        match self.tickets.get(&id)? {
-            TicketState::Pending { .. } | TicketState::GatherBarrier { .. } => None,
-            TicketState::Submitted { shard, local, .. } => self.shards[*shard as usize]
+        let responded = |shard: u32, local: &OpId| {
+            self.shards[shard as usize]
                 .op_times()
                 .get(local)
-                .map(|t| (t.submitted, t.responded)),
-            TicketState::GatherScattered {
-                subs, requested_at, ..
-            } => {
-                let responded = subs
-                    .iter()
-                    .map(|(s, l)| {
-                        self.shards[*s as usize]
-                            .op_times()
-                            .get(l)
-                            .and_then(|t| t.responded)
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .and_then(|ts| ts.into_iter().max());
-                Some((*requested_at, responded))
-            }
+                .map(|t| (t.submitted, t.responded))
+        };
+        if let Some((shard, local)) = self.coord.placement(id) {
+            return responded(shard, &local?);
         }
+        let (subs, _) = self.coord.gather_detail(id)?;
+        let last = subs
+            .iter()
+            .map(|(s, l)| responded(*s, l).and_then(|(_, r)| r))
+            .collect::<Option<Vec<_>>>()
+            .and_then(|ts| ts.into_iter().max());
+        Some((self.requested_at[&id], last))
     }
 
     /// Per-shard count of operations routed there (load-balance metric).
     /// Pending operations count toward their slot's current owner; a
     /// gathered query counts once per involved shard (it really does
-    /// occupy each of them).
+    /// occupy each of them), and toward the home slot's owner while it
+    /// waits at its barrier.
     pub fn shard_loads(&self) -> Vec<usize> {
         let mut loads = vec![0usize; self.shards.len()];
-        for t in self.tickets.values() {
-            match t {
-                TicketState::Pending(p) | TicketState::GatherBarrier { p, .. } => {
-                    loads[self.router.table().shard_of_slot(p.slot) as usize] += 1;
-                }
-                TicketState::Submitted { shard, .. } => loads[*shard as usize] += 1,
-                TicketState::GatherScattered { subs, .. } => {
-                    for s in subs.keys() {
-                        loads[*s as usize] += 1;
-                    }
-                }
+        for id in self.coord.ids() {
+            match (self.coord.placement(id), self.coord.gather_detail(id)) {
+                (Some((shard, _)), _) => loads[shard as usize] += 1,
+                (None, Some((subs, _))) => subs.keys().for_each(|s| loads[*s as usize] += 1),
+                (None, None) => loads[self.coord.table().shard_of_slot(HOME_SLOT) as usize] += 1,
             }
         }
         loads

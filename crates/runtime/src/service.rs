@@ -388,18 +388,26 @@ where
             config,
             replicas.into_iter().map(|(r, s)| (r, Some(s))).collect(),
         );
-        svc.next_client = floor;
-        {
-            // The response registry is indexed by raw client id; hold the
-            // skipped identities with dead senders so deliveries to live
-            // clients land at the right slot.
-            let mut reg = svc.client_reg.lock();
-            for _ in 0..floor {
-                let (tx, _rx) = bounded(1);
-                reg.push(tx);
-            }
-        }
+        svc.skip_client_ids_below(floor);
         svc
+    }
+
+    /// The identity the next front end will be given.
+    pub(crate) fn next_client_id(&self) -> u32 {
+        self.next_client
+    }
+
+    /// Numbers future front ends from `floor` up. The response registry
+    /// is indexed by raw client id, so the skipped identities are held
+    /// with dead senders: deliveries to live clients land at the right
+    /// slot.
+    pub(crate) fn skip_client_ids_below(&mut self, floor: u32) {
+        let mut reg = self.client_reg.lock();
+        while self.next_client < floor {
+            let (tx, _rx) = bounded(1);
+            reg.push(tx);
+            self.next_client += 1;
+        }
     }
 
     fn start_replicas(config: RuntimeConfig, replicas: Vec<ReplicaSlot<T>>) -> Self {

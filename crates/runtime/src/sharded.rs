@@ -2,82 +2,48 @@
 //! threads + network thread) per shard, behind a single client handle —
 //! with **live rebalancing** by slot migration.
 //!
-//! Mirrors `esds-harness`'s `ShardedSimSystem` for real threads: a
-//! versioned [`RoutingTable`] (`key → slot → shard`) partitions the
-//! keyspace of a [`KeyedDataType`] across `S` independent replica
-//! groups, each running the unmodified Section 6 protocol. A
-//! [`ShardedClient`] owns one front end per shard and routes each
-//! submission through the **shared, versioned** table.
+//! Routing, cross-shard `prev`, scatter-gather with its barrier-strict
+//! mode, and frozen-slot deferral are `esds_core::ShardCoordinator`'s
+//! (see its docs); this module is its **driver** for real threads. Every
+//! [`ShardedClient`] keeps a coordinator of its own plus one front end
+//! and one inspect handle per shard, and keeps its public calls blocking
+//! by looping *observe → input → poll → execute* until the operation it
+//! was asked about is released (`submit`) or answered
+//! (`await_response`): answers are polled off the front ends, stability
+//! probes are answered from the shard's replicas (the union of their
+//! local orders over-approximates the answered frontier, which only
+//! strengthens a barrier; the intersection of what each knows stable
+//! everywhere is what the whole group knows), and a blocked `submit`
+//! waits on the front end of the predecessor the coordinator names.
 //!
 //! ## Table versions and in-flight operations
 //!
-//! Every routing decision happens under the shared table lock, and every
-//! submission registers itself against its slot before the lock is
-//! released. A migration ([`ShardedService::add_shard`]) can therefore
-//! never catch an operation "routed with a stale table": it freezes the
-//! migrating slots first (submissions targeting them block on a condition
-//! variable — retried after the flip against the new table), then waits
-//! for every registered in-flight operation on those slots to be
-//! answered. Operations in flight at freeze time keep their original
-//! owner, which still answers them — and because the handoff waits for
-//! them *and* for their stability, their effects are part of the stable
-//! prefix that is replayed onto the new owner. Clients observe the flip
-//! as a version bump ([`ShardedClient::table_version`]).
+//! The table, the frozen slots and the applied plans are **shared**
+//! between the service and every handle. A handle brings its coordinator
+//! up to date (`flip` per missed plan, `freeze`), polls it, and registers
+//! every released operation against its slot, all under the shared lock.
+//! A migration ([`ShardedService::add_shard`]) can therefore never catch
+//! an operation "routed with a stale table": it freezes the migrating
+//! slots first (operations on them stay pending in their coordinators
+//! until the flip), then waits for every registered in-flight operation
+//! on those slots to be answered. Operations in flight at freeze time
+//! keep their original owner, which still answers them — and because the
+//! handoff waits for them *and* for their stability, their effects are
+//! part of the stable prefix that is replayed onto the new owner. A
+//! gather holds every slot, so a migration and a gather serialize.
 //!
 //! The handoff is the same four-phase state machine as the simulated
 //! layer (freeze → replay stable prefix → flip → drain), with the replay
 //! chained by `prev` and its final link submitted **strict**, so the
 //! transferred state is stable at every replica of the receiving group
-//! before any client request is allowed to route there.
+//! before any client request is allowed to route there (which is why the
+//! flip passes the coordinators no replay anchors).
 //!
 //! One liveness requirement follows from client-side response tracking:
 //! every submission must eventually be awaited (or another call made on
 //! its handle) so the client can observe the response and deregister the
 //! operation; a handle that submits to a migrating slot and then goes
 //! silent forever holds the migration until its timeout.
-//!
-//! ## Cross-shard `prev` constraints
-//!
-//! As before: the client **waits** for every foreign-shard predecessor's
-//! response before handing the dependent operation to its shard
-//! (different shards are disjoint objects, so once the predecessor is
-//! answered the remaining constraint is vacuous). Same-shard
-//! predecessors are passed through to the group's protocol unchanged.
-//!
-//! ## Whole-object queries: scatter-gather
-//!
-//! Operators with no shard key whose data type can merge partial results
-//! ([`KeyedDataType::is_gatherable`]) are **scattered**: one sub-operation
-//! per involved shard (every shard owning at least one slot), answers
-//! merged by [`KeyedDataType::merge_gathered`]. Routing a whole-object
-//! query to the [`HOME_SLOT`] owner would silently return one shard's
-//! slice — the wrong-partial-answer bug this subsystem removes.
-//!
-//! A gather touches every slot, so it registers against **every** slot in
-//! the shared in-flight table (a migration drains it like any keyed
-//! operation before freezing its slots' state) and blocks while *any*
-//! slot is frozen — it can never observe a half-migrated table or land on
-//! a shard that just replayed-and-drained.
-//!
-//! In **eventual** mode the sub-operations are ordinary non-strict
-//! requests and the merge is whatever each shard answered. In
-//! **barrier-strict** mode the client first takes a per-shard barrier, one
-//! shard at a time (no 2PC, shards stay independent): snapshot the
-//! shard's *answered frontier* (over-approximated by the union of its
-//! replicas' local orders, which contains every answered operation), wait
-//! until every replica of that shard reports the frontier **stable
-//! everywhere**, and only then submit the strict sub-operation. Its fresh
-//! label necessarily orders after the whole frontier in the shard's
-//! eventual total order, so the merged answer is a consistent cut —
-//! `esds_spec::check_barrier_cut` is the per-shard conformance predicate
-//! (feed it [`ShardedClient::gather_detail`]).
-//!
-//! A keyless operator that is *not* gatherable keeps the legacy
-//! [`HOME_SLOT`] routing. Cross-shard `prev` composes with gathers in
-//! both directions: a gathered query's sub-operations anchor behind the
-//! per-shard frontier of its `prev` set, and a dependent of a gathered
-//! query anchors on the gather's **own sub-operation** in each involved
-//! shard.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,25 +51,21 @@ use std::time::{Duration, Instant};
 
 use esds_alg::Replica;
 use esds_core::{
-    ClientId, KeyedDataType, MigrationPlan, OpId, RoutingTable, ShardedOpId, HOME_SLOT,
+    Blocker, ClientId, Effect, KeyedDataType, MigrationPlan, OpId, RoutingTable, ShardCoordinator,
+    ShardedOpId,
 };
 
 use crate::service::{InspectHandle, RuntimeClient, RuntimeConfig, RuntimeService};
 
-/// The slot an operator is attributed to (keyless → [`HOME_SLOT`]).
-fn slot_of_op<T: KeyedDataType>(dt: &T, table: &RoutingTable, op: &T::Operator) -> u16 {
-    match dt.shard_key(op) {
-        Some(k) => table.slot_of_key(k),
-        None => HOME_SLOT,
-    }
-}
-
 /// Routing state shared by the service and every client handle.
 struct RouteState {
     table: RoutingTable,
-    /// Slots frozen by an in-progress migration; submissions block.
+    /// Every plan applied to `table`, index = the version it was computed
+    /// against — what a handle's coordinator replays to catch up.
+    plans: Vec<MigrationPlan>,
+    /// Slots frozen by an in-progress migration.
     frozen: BTreeSet<u16>,
-    /// In-flight (submitted, response not yet observed) operations per
+    /// In-flight (released, response not yet observed) operations per
     /// slot. A migration waits for its slots to drain to zero.
     inflight: BTreeMap<u16, u64>,
 }
@@ -113,9 +75,18 @@ struct RoutingShared {
     cv: Condvar,
 }
 
+/// The slots an in-flight registration holds: its own, or (a gather,
+/// `None`) all of them.
+fn held_slots(slot: Option<u16>, table: &RoutingTable) -> std::ops::Range<u16> {
+    match slot {
+        Some(s) => s..s + 1,
+        None => 0..table.n_slots(),
+    }
+}
+
 /// Front ends (and inspect handles, for the gather barrier) created for
 /// existing client handles when a shard is added, waiting to be picked
-/// up: `handle → [(shard, front end, inspect handle)]`.
+/// up: `client id → [(shard, front end, inspect handle)]`.
 type Mailbox<T> = Arc<Mutex<BTreeMap<u32, Vec<(u32, RuntimeClient<T>, InspectHandle<T>)>>>>;
 
 /// The running sharded service: `S` independent [`RuntimeService`]s
@@ -142,8 +113,8 @@ pub struct ShardedService<T: KeyedDataType> {
     shards: Vec<RuntimeService<T>>,
     routing: Arc<RoutingShared>,
     mailbox: Mailbox<T>,
-    /// Client handles created so far (mailbox keys).
-    n_handles: u32,
+    /// The identity of every client handle created so far, ascending.
+    handles: Vec<ClientId>,
     /// Timeout a client uses when waiting out a foreign-shard `prev`.
     cross_shard_wait: Duration,
     /// Timeout for a migration's drain/stability/replay phases.
@@ -196,19 +167,30 @@ where
         Self::with_shards(dt, config, shards)
     }
 
-    fn with_shards(dt: T, config: RuntimeConfig, shards: Vec<RuntimeService<T>>) -> Self {
-        let n_shards = shards.len();
+    fn with_shards(dt: T, config: RuntimeConfig, mut shards: Vec<RuntimeService<T>>) -> Self {
+        // One ClientId per handle, valid in every group — the coordinator
+        // mints per-shard identifiers from it. Groups recovered from disk
+        // floor their identities independently, so level them.
+        let floor = shards
+            .iter()
+            .map(|s| s.next_client_id())
+            .max()
+            .expect("at least one shard");
+        for s in &mut shards {
+            s.skip_client_ids_below(floor);
+        }
         ShardedService {
             routing: Arc::new(RoutingShared {
                 state: Mutex::new(RouteState {
-                    table: RoutingTable::uniform(n_shards as u32),
+                    table: RoutingTable::uniform(shards.len() as u32),
+                    plans: Vec::new(),
                     frozen: BTreeSet::new(),
                     inflight: BTreeMap::new(),
                 }),
                 cv: Condvar::new(),
             }),
             mailbox: Arc::new(Mutex::new(BTreeMap::new())),
-            n_handles: 0,
+            handles: Vec::new(),
             dt,
             config,
             shards,
@@ -253,31 +235,28 @@ where
         self.shards.len()
     }
 
-    /// Creates a client with a front end in **every** shard.
-    ///
-    /// Per-group [`ClientId`]s may differ across shards once shards have
-    /// been added (each group numbers its own front ends); the handle's
-    /// global identity is its shard-0 id, and all bookkeeping tracks
-    /// group-local ids per placement, so this is invisible to callers.
+    /// Creates a client with a front end in **every** shard, under one
+    /// [`ClientId`] (its global identity and, in each group, its local
+    /// one).
     pub fn client(&mut self) -> ShardedClient<T> {
         let fes: Vec<RuntimeClient<T>> = self.shards.iter_mut().map(|s| s.client()).collect();
         let inspects: Vec<InspectHandle<T>> =
             self.shards.iter().map(|s| s.inspect_handle()).collect();
         let id = fes[0].client();
-        let handle = self.n_handles;
-        self.n_handles += 1;
+        assert!(
+            fes.iter().all(|fe| fe.client() == id),
+            "per-group client ids diverged; create clients only through ShardedService"
+        );
+        self.handles.push(id);
         ShardedClient {
-            dt: self.dt.clone(),
+            coord: ShardCoordinator::new(self.dt.clone(), self.table()),
             routing: self.routing.clone(),
             mailbox: self.mailbox.clone(),
-            handle,
             id,
             fes,
             inspects,
-            next_seq: 0,
-            placements: BTreeMap::new(),
-            gathers: BTreeMap::new(),
-            unsettled: BTreeSet::new(),
+            unsettled: BTreeMap::new(),
+            probes: BTreeSet::new(),
             cross_shard_wait: self.cross_shard_wait,
         }
     }
@@ -307,25 +286,33 @@ where
         };
         let new_idx = self.shards.len() as u32;
         // Start the receiving group and pre-create a front end in it for
-        // every existing client handle (picked up lazily via the mailbox)
-        // — in handle order, before any other client can reach the group,
-        // so the assignment is deterministic.
+        // every existing client handle (picked up lazily via the mailbox),
+        // under the handle's own identity.
         let mut svc = RuntimeService::start(self.dt.clone(), self.config.clone());
         {
             let mut mb = self.mailbox.lock().expect("mailbox lock");
-            for h in 0..self.n_handles {
-                mb.entry(h)
+            for id in &self.handles {
+                svc.skip_client_ids_below(id.0);
+                mb.entry(id.0)
                     .or_default()
                     .push((new_idx, svc.client(), svc.inspect_handle()));
             }
         }
-        // The migration's own front end for the stable-prefix replay.
+        // The migration's own front end for the stable-prefix replay,
+        // numbered above every identity the old groups have issued; they
+        // skip it, so the next handle is again one id everywhere.
+        let next = self.shards[0].next_client_id();
+        svc.skip_client_ids_below(next);
         let mut mfe = svc.client();
+        for s in &mut self.shards {
+            s.skip_client_ids_below(next + 1);
+        }
         self.shards.push(svc);
 
         let slots = plan.slots();
         let deadline = Instant::now() + self.migration_timeout;
-        // Phase 1: freeze. New submissions on migrating slots now block.
+        // Phase 1: freeze. Operations on migrating slots now stay pending
+        // in their handles' coordinators.
         {
             let mut st = self.routing.state.lock().expect("routing lock");
             st.frozen = slots.clone();
@@ -364,7 +351,7 @@ where
             let dt = self.dt.clone();
             let table = table.clone();
             let slots = slots.clone();
-            Box::new(move |op| slots.contains(&slot_of_op(&dt, &table, op)))
+            Box::new(move |op| slots.contains(&table.slot_of(&dt, op)))
         };
         loop {
             let pending = sources.iter().any(|src| {
@@ -401,7 +388,7 @@ where
                 .iter()
                 .filter(|id| {
                     snap.stable_everywhere.contains(id)
-                        && slot_of_op(&self.dt, &table, &snap.ops[id]) == mv.slot
+                        && table.slot_of(&self.dt, &snap.ops[id]) == mv.slot
                 })
                 .map(|id| snap.ops[id].clone())
                 .collect();
@@ -420,11 +407,12 @@ where
                 );
             }
         }
-        // Phase 3 + 4: flip the table and unfreeze; blocked submissions
-        // retry their routing decision against the new version.
+        // Phase 3 + 4: flip the table and unfreeze; every handle's next
+        // step replays the plan into its coordinator.
         {
             let mut st = self.routing.state.lock().expect("routing lock");
             st.table.apply(&plan);
+            st.plans.push(plan);
             st.frozen.clear();
         }
         self.routing.cv.notify_all();
@@ -448,64 +436,27 @@ where
 }
 
 /// A client handle of a [`ShardedService`]: one [`RuntimeClient`] per
-/// shard, multiplexed behind global [`ShardedOpId`]s.
+/// shard, multiplexed behind global [`ShardedOpId`]s by a coordinator of
+/// its own.
 ///
 /// The handle resolves only identifiers it issued itself; `prev` sets may
 /// reference any of this client's earlier submissions (the common case —
 /// a front end only ever learns identifiers it requested, paper §6.2).
 pub struct ShardedClient<T: KeyedDataType> {
-    dt: T,
+    coord: ShardCoordinator<T>,
     routing: Arc<RoutingShared>,
     mailbox: Mailbox<T>,
-    handle: u32,
     id: ClientId,
     fes: Vec<RuntimeClient<T>>,
-    /// One inspect handle per shard — the gather barrier reads answered
+    /// One inspect handle per shard — stability probes read answered
     /// frontiers and stability through these.
     inspects: Vec<InspectHandle<T>>,
-    next_seq: u64,
-    /// Global sequence number → where the operation went.
-    placements: BTreeMap<u64, Placement>,
-    /// Global sequence number → scattered whole-object query.
-    gathers: BTreeMap<u64, Gather<T>>,
-    /// Sequence numbers whose response has not yet been observed by this
-    /// handle (still registered as in-flight against their slot(s)).
-    unsettled: BTreeSet<u64>,
+    /// Operations registered in-flight in the shared table, with the slot
+    /// they hold there (see [`held_slots`]).
+    unsettled: BTreeMap<ShardedOpId, Option<u16>>,
+    /// Stability probes the next step answers.
+    probes: BTreeSet<u32>,
     cross_shard_wait: Duration,
-}
-
-/// Where one of this client's submissions was routed. The global `prev`
-/// sequence numbers are retained so later dependents can inherit this
-/// operation's same-shard predecessors through foreign hops.
-#[derive(Clone, Debug)]
-struct Placement {
-    shard: u32,
-    local: OpId,
-    prev: Vec<u64>,
-    slot: u16,
-    /// The routing-table version this operation was routed under.
-    version: u64,
-}
-
-/// A scattered whole-object query: one sub-operation per involved shard,
-/// merged once every shard has answered.
-struct Gather<T: KeyedDataType> {
-    /// The operator (kept to drive [`KeyedDataType::merge_gathered`]).
-    op: T::Operator,
-    /// Involved shard → the sub-operation submitted there.
-    subs: BTreeMap<u32, OpId>,
-    /// Global `prev` sequence numbers, for dependents' frontier walks.
-    prev: Vec<u64>,
-    /// Every slot this gather registered in-flight against (all of them).
-    slots: Vec<u16>,
-    /// The routing-table version the gather was routed under.
-    version: u64,
-    /// Barrier-strict only: per-shard answered frontier snapshotted (and
-    /// stability-covered) before the sub-operations went out. Empty in
-    /// eventual mode.
-    frontier: BTreeMap<u32, Vec<OpId>>,
-    /// The merged answer, once every sub-operation has responded.
-    merged: Option<T::Value>,
 }
 
 impl<T: KeyedDataType> ShardedClient<T>
@@ -513,8 +464,7 @@ where
     T::Operator: Clone,
     T::Value: Clone,
 {
-    /// The client identity (its shard-0 front end's id, used to mint
-    /// global identifiers).
+    /// The client identity (global and, in every group, local).
     pub fn client(&self) -> ClientId {
         self.id
     }
@@ -533,7 +483,7 @@ where
     /// looked (created by [`ShardedService::add_shard`]).
     fn sync_shards(&mut self) {
         let mut mb = self.mailbox.lock().expect("mailbox lock");
-        if let Some(pending) = mb.get_mut(&self.handle) {
+        if let Some(pending) = mb.get_mut(&self.id.0) {
             pending.sort_by_key(|(s, _, _)| *s);
             for (s, fe, ih) in pending.drain(..) {
                 assert_eq!(
@@ -547,297 +497,151 @@ where
         }
     }
 
-    /// Observes any responses that have arrived and deregisters the
-    /// corresponding operations from the shared in-flight table (what a
-    /// pending migration waits on).
-    fn settle_answered(&mut self) {
+    /// One driver round: feed the coordinator the answers and stability
+    /// reports that have arrived, bring it up to the shared table, poll
+    /// it, and execute its effects.
+    fn step(&mut self) {
         for fe in &mut self.fes {
             fe.poll_responses();
         }
-        let pending: Vec<u64> = self.unsettled.iter().copied().collect();
-        let mut done: Vec<u64> = Vec::new();
-        for seq in pending {
-            if let Some(p) = self.placements.get(&seq) {
-                if self.fes[p.shard as usize].value_of(p.local).is_some() {
-                    done.push(seq);
+        let answered: Vec<(u32, OpId, T::Value)> = self
+            .coord
+            .outstanding()
+            .filter_map(|(s, l)| Some((s, l, self.fes[s as usize].value_of(l)?.clone())))
+            .collect();
+        for (s, l, v) in answered {
+            self.coord.on_answer(s, l, v, None);
+        }
+        for shard in std::mem::take(&mut self.probes) {
+            self.report_stability(shard);
+        }
+        // Under the shared lock the routing decision, the table version
+        // it was made under and the in-flight registration are one atomic
+        // step: a migration can never observe an operation as "routed but
+        // unregistered" (no stale-table submissions, ever). Deregistering
+        // here too means a handle blocked in `submit` on a frozen slot
+        // still settles what the migration is waiting on.
+        let mut sends = Vec::new();
+        let mut settled = false;
+        {
+            let mut st = self.routing.state.lock().expect("routing lock");
+            for plan in &st.plans[self.coord.table().version() as usize..] {
+                self.coord.flip(plan, []);
+            }
+            if *self.coord.frozen() != st.frozen {
+                self.coord.freeze(st.frozen.clone());
+            }
+            for e in self.coord.poll() {
+                match e {
+                    Effect::Send {
+                        shard,
+                        global,
+                        desc,
+                        ..
+                    } => {
+                        if !self.unsettled.contains_key(&global) {
+                            let slot = self
+                                .coord
+                                .gather_detail(global)
+                                .is_none()
+                                .then(|| self.coord.slot_of(&desc.op));
+                            for s in held_slots(slot, self.coord.table()) {
+                                *st.inflight.entry(s).or_default() += 1;
+                            }
+                            self.unsettled.insert(global, slot);
+                        }
+                        sends.push((shard, desc));
+                    }
+                    Effect::ProbeStability { shard } => {
+                        self.probes.insert(shard);
+                    }
+                    Effect::Answered { global } => {
+                        let slot = self.unsettled.remove(&global).expect("registered at send");
+                        for s in held_slots(slot, self.coord.table()) {
+                            *st.inflight.get_mut(&s).expect("registered at send") -= 1;
+                        }
+                        settled = true;
+                    }
                 }
-                continue;
-            }
-            // A gather settles when every sub-operation has answered; the
-            // merge happens here, once, and is cached on the record.
-            let g = &self.gathers[&seq];
-            let parts: Option<Vec<T::Value>> = g
-                .subs
-                .iter()
-                .map(|(s, l)| self.fes[*s as usize].value_of(*l).cloned())
-                .collect();
-            if let Some(parts) = parts {
-                let merged = self
-                    .dt
-                    .merge_gathered(&g.op, parts)
-                    .expect("scattered operators are gatherable");
-                self.gathers.get_mut(&seq).expect("just read").merged = Some(merged);
-                done.push(seq);
             }
         }
-        if done.is_empty() {
-            return;
+        if settled {
+            self.routing.cv.notify_all();
         }
-        let mut st = self.routing.state.lock().expect("routing lock");
-        for seq in &done {
-            let slots: &[u16] = match self.placements.get(seq) {
-                Some(p) => std::slice::from_ref(&p.slot),
-                None => &self.gathers[seq].slots,
-            };
-            for slot in slots {
-                let n = st.inflight.get_mut(slot).expect("registered at submit");
-                *n -= 1;
-            }
-            self.unsettled.remove(seq);
+        // The table may have grown since this handle last synced.
+        self.sync_shards();
+        for (shard, desc) in sends {
+            let prev: Vec<OpId> = desc.prev.into_iter().collect();
+            let local = self.fes[shard as usize].submit(desc.op, &prev, desc.strict);
+            assert_eq!(
+                local, desc.id,
+                "shard {shard}'s front end and the coordinator count in lockstep"
+            );
         }
-        drop(st);
-        self.routing.cv.notify_all();
     }
 
-    /// Submits an operation to the shard owning its key under the
-    /// current routing table and returns its global id. If the slot is
-    /// frozen by an in-progress migration, the submission blocks and is
-    /// retried against the flipped table (never rejected, never routed
-    /// stale). Foreign-shard `prev` entries are awaited (blocking, up to
-    /// the configured cross-shard timeout) before the submission is
-    /// handed to its group; same-shard entries ride the group's own
-    /// protocol.
+    /// Answers a stability probe from `shard`'s replicas (see the module
+    /// docs). A replica that no longer answers has shut down under us
+    /// and is skipped: nothing is left to wait for there.
+    fn report_stability(&mut self, shard: u32) {
+        let h = &self.inspects[shard as usize];
+        let mut order: BTreeSet<OpId> = BTreeSet::new();
+        let mut stable: Option<BTreeSet<OpId>> = None;
+        for snap in (0..h.n_replicas()).filter_map(|r| h.snapshot(r)) {
+            order.extend(snap.order);
+            stable = Some(match stable {
+                Some(s) => &s & &snap.stable_everywhere,
+                None => snap.stable_everywhere,
+            });
+        }
+        self.coord.on_stability(
+            shard,
+            order.into_iter().collect(),
+            &stable.unwrap_or_default(),
+        );
+    }
+
+    /// Submits an operation and returns its global id once it has been
+    /// handed to its shard (for a whole-object query: scattered to every
+    /// involved shard). Blocks — never rejects, never routes stale —
+    /// while its slot is frozen by a migration, while a foreign-shard
+    /// `prev` entry is unanswered, and while a strict whole-object
+    /// query's barrier stabilizes; same-shard `prev` entries ride the
+    /// group's own protocol.
     ///
     /// # Panics
     ///
-    /// Panics if `prev` names an id this handle did not issue, if a
-    /// foreign predecessor stays unanswered past the cross-shard timeout,
-    /// or if a migration keeps the slot frozen past that timeout (the
-    /// deployment is then considered broken — the same situation in
-    /// which [`ShardedClient::await_response`] would return `None`).
+    /// Panics if `prev` names an id this handle did not issue, or if the
+    /// operation is still blocked after the configured cross-shard
+    /// timeout (the deployment is then considered broken — the same
+    /// situation in which [`ShardedClient::await_response`] would return
+    /// `None`).
     pub fn submit(&mut self, op: T::Operator, prev: &[ShardedOpId], strict: bool) -> ShardedOpId {
         self.sync_shards();
-        self.settle_answered();
-        for g in prev {
-            assert!(
-                g.client() == self.id,
-                "prev {g} was not issued by this client handle"
-            );
-            assert!(
-                self.placements.contains_key(&g.seq()) || self.gathers.contains_key(&g.seq()),
-                "prev {g} was never submitted via this handle"
-            );
-        }
-        if self.dt.is_gatherable(&op) {
-            return self.submit_gather(op, prev, strict);
-        }
-        // Route under the shared lock: the slot's owner and the version
-        // are read atomically with the in-flight registration, so a
-        // migration can never observe this operation as "routed but
-        // unregistered" (no stale-table submissions, ever). While the
-        // slot is frozen, the wait loop drops the lock and settles any
-        // answered in-flight operations between polls — the migration
-        // may be waiting on *this very handle* to observe a response on
-        // the frozen slot, so blocking without settling would deadlock
-        // both sides into their timeouts.
+        let gid = self.coord.submit(self.id, op, prev, strict);
         let deadline = Instant::now() + self.cross_shard_wait;
-        let (slot, shard, version) = loop {
-            {
-                let mut st = self.routing.state.lock().expect("routing lock");
-                let slot = slot_of_op(&self.dt, &st.table, &op);
-                if !st.frozen.contains(&slot) {
-                    *st.inflight.entry(slot).or_default() += 1;
-                    break (slot, st.table.shard_of_slot(slot), st.table.version());
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "slot frozen past the cross-shard timeout; migration stuck?"
-            );
-            self.settle_answered();
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        // The table may have grown since this handle last synced.
-        self.sync_shards();
-        let seqs: Vec<u64> = prev.iter().map(|g| g.seq()).collect();
-        let local_prev = self.local_frontier(&seqs, shard);
-        self.settle_answered();
-        let local = self.fes[shard as usize].submit(op, &local_prev, strict);
-        let gid = ShardedOpId::new(self.id, self.next_seq);
-        self.placements.insert(
-            self.next_seq,
-            Placement {
-                shard,
-                local,
-                prev: seqs,
-                slot,
-                version,
-            },
-        );
-        self.unsettled.insert(self.next_seq);
-        self.next_seq += 1;
-        gid
-    }
-
-    /// The shared frontier walk ([`esds_core::gather_frontier`]) for one
-    /// target shard: same-shard predecessors — including those inherited
-    /// *through* foreign hops — become local `prev` constraints; every
-    /// foreign keyed predecessor encountered is awaited before
-    /// descending. A gathered predecessor contributes its own sub-
-    /// operation on the target shard as the anchor; if it has none there
-    /// (the shard set changed under a migration), its sub-operations are
-    /// awaited like foreign keyed predecessors and the walk descends.
-    fn local_frontier(&mut self, seqs: &[u64], shard: u32) -> Vec<OpId> {
-        esds_core::gather_frontier(seqs, shard, |seq| {
-            if let Some(p) = self.placements.get(&seq).cloned() {
-                if p.shard != shard && self.fes[p.shard as usize].value_of(p.local).is_none() {
-                    let answered = self.fes[p.shard as usize]
-                        .await_response(p.local, self.cross_shard_wait)
-                        .is_some();
-                    assert!(
-                        answered,
-                        "cross-shard prev {} unanswered after {:?}",
-                        ShardedOpId::new(self.id, seq),
-                        self.cross_shard_wait
-                    );
-                }
-                return (vec![(p.shard, p.local)], p.prev);
-            }
-            let (subs, gprev) = {
-                let g = &self.gathers[&seq];
-                (g.subs.clone(), g.prev.clone())
-            };
-            if !subs.contains_key(&shard) {
-                for (s, l) in &subs {
-                    if self.fes[*s as usize].value_of(*l).is_none() {
-                        let answered = self.fes[*s as usize]
-                            .await_response(*l, self.cross_shard_wait)
-                            .is_some();
-                        assert!(
-                            answered,
-                            "cross-shard prev {} (gathered sub-op on shard {s}) unanswered \
-                             after {:?}",
-                            ShardedOpId::new(self.id, seq),
-                            self.cross_shard_wait
-                        );
-                    }
-                }
-            }
-            (subs.into_iter().collect(), gprev)
-        })
-    }
-
-    /// Scatters a whole-object query: one sub-operation per involved
-    /// shard, merged by the data type once every shard answers. In strict
-    /// mode, takes the per-shard barrier first (see module docs). Blocks
-    /// while any slot is frozen and registers against every slot, so a
-    /// migration and a gather serialize against each other instead of
-    /// racing the table flip.
-    fn submit_gather(
-        &mut self,
-        op: T::Operator,
-        prev: &[ShardedOpId],
-        strict: bool,
-    ) -> ShardedOpId {
-        let deadline = Instant::now() + self.cross_shard_wait;
-        let (table, slots) = loop {
-            {
-                let mut st = self.routing.state.lock().expect("routing lock");
-                if st.frozen.is_empty() {
-                    let slots: Vec<u16> = (0..st.table.n_slots()).collect();
-                    for s in &slots {
-                        *st.inflight.entry(*s).or_default() += 1;
-                    }
-                    break (st.table.clone(), slots);
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "slots frozen past the cross-shard timeout; migration stuck?"
-            );
-            self.settle_answered();
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        self.sync_shards();
-        let involved = table.involved_shards();
-        let mut frontier: BTreeMap<u32, Vec<OpId>> = BTreeMap::new();
-        if strict {
-            // Barrier, one shard at a time: snapshot the answered
-            // frontier, then wait until every replica of the shard has it
-            // stable everywhere. Only then may the strict sub-operation
-            // be submitted — its fresh label orders after the whole
-            // frontier in the shard's eventual total order.
-            for s in &involved {
-                frontier.insert(*s, self.shard_frontier_snapshot(*s));
-            }
-            for (s, f) in &frontier {
-                self.await_stability_cover(*s, f, deadline);
-            }
-        }
-        let seqs: Vec<u64> = prev.iter().map(|g| g.seq()).collect();
-        let mut subs: BTreeMap<u32, OpId> = BTreeMap::new();
-        for shard in &involved {
-            let local_prev = self.local_frontier(&seqs, *shard);
-            let local = self.fes[*shard as usize].submit(op.clone(), &local_prev, strict);
-            subs.insert(*shard, local);
-        }
-        self.settle_answered();
-        let gid = ShardedOpId::new(self.id, self.next_seq);
-        self.gathers.insert(
-            self.next_seq,
-            Gather {
-                op,
-                subs,
-                prev: seqs,
-                slots,
-                version: table.version(),
-                frontier,
-                merged: None,
-            },
-        );
-        self.unsettled.insert(self.next_seq);
-        self.next_seq += 1;
-        gid
-    }
-
-    /// One shard's answered frontier, over-approximated by the union of
-    /// its replicas' local orders: every operation a replica has answered
-    /// is in that replica's order, so the union contains the true
-    /// answered frontier (the over-approximation only strengthens the
-    /// barrier).
-    fn shard_frontier_snapshot(&self, shard: u32) -> Vec<OpId> {
-        let h = &self.inspects[shard as usize];
-        let mut all: BTreeSet<OpId> = BTreeSet::new();
-        for r in 0..h.n_replicas() {
-            if let Some(snap) = h.snapshot(r) {
-                all.extend(snap.order);
-            }
-        }
-        all.into_iter().collect()
-    }
-
-    /// Waits until every replica of `shard` reports every frontier
-    /// operation stable everywhere — after which any label minted in the
-    /// shard is greater than every frontier label.
-    fn await_stability_cover(&self, shard: u32, frontier: &[OpId], deadline: Instant) {
-        let h = &self.inspects[shard as usize];
+        // A barrier's first probes are answered by the very next step.
+        let mut probed = false;
         loop {
-            let covered = (0..h.n_replicas()).all(|r| match h.snapshot(r) {
-                Some(snap) => frontier
-                    .iter()
-                    .all(|id| snap.stable_everywhere.contains(id)),
-                // Service shut down under us; nothing left to wait for.
-                None => true,
-            });
-            if covered {
-                return;
+            self.step();
+            if self.coord.is_released(gid) {
+                return gid;
             }
+            let blocker = self.coord.blocked_on(gid);
+            let remaining = deadline.saturating_duration_since(Instant::now());
             assert!(
-                Instant::now() < deadline,
-                "barrier frontier on shard {shard} did not stabilize within the \
-                 cross-shard timeout"
+                !remaining.is_zero(),
+                "{gid} still blocked on {blocker:?} after {:?} (cross-shard predecessor \
+                 unanswered, or migration stuck?)",
+                self.cross_shard_wait
             );
-            std::thread::sleep(Duration::from_millis(5));
+            match blocker {
+                Some(Blocker::Unanswered { shard, local }) => {
+                    self.fes[shard as usize].await_response(local, remaining);
+                }
+                Some(Blocker::Barrier) if !std::mem::replace(&mut probed, true) => {}
+                _ => std::thread::sleep(Duration::from_millis(5)),
+            }
         }
     }
 
@@ -847,28 +651,20 @@ where
     /// group — the handoff waits for it, so its effect is part of the
     /// transferred stable prefix.
     pub fn await_response(&mut self, id: ShardedOpId, timeout: Duration) -> Option<T::Value> {
-        self.sync_shards();
-        if id.client() == self.id && self.gathers.contains_key(&id.seq()) {
-            if let Some(v) = &self.gathers[&id.seq()].merged {
-                return Some(v.clone());
+        let deadline = Instant::now() + timeout;
+        let waits: Vec<(u32, OpId)> = match self.coord.gather_detail(id) {
+            Some((subs, _)) => subs.iter().map(|(s, l)| (*s, *l)).collect(),
+            None => {
+                let (shard, local) = self.coord.placement(id)?;
+                vec![(shard, local?)]
             }
-            let deadline = Instant::now() + timeout;
-            let subs: Vec<(u32, OpId)> = self.gathers[&id.seq()]
-                .subs
-                .iter()
-                .map(|(s, l)| (*s, *l))
-                .collect();
-            for (s, l) in subs {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                self.fes[s as usize].await_response(l, remaining)?;
-            }
-            self.settle_answered();
-            return self.gathers[&id.seq()].merged.clone();
+        };
+        for (s, l) in waits {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            self.fes[s as usize].await_response(l, remaining)?;
         }
-        let (shard, local) = self.resolve(id)?;
-        let v = self.fes[shard as usize].await_response(local, timeout);
-        self.settle_answered();
-        v
+        self.step();
+        self.coord.value_of(id).cloned()
     }
 
     /// The value previously returned for `id`, if completed. For a
@@ -876,20 +672,17 @@ where
     /// handle has observed every sub-operation's response (via
     /// [`ShardedClient::await_response`] or any later call).
     pub fn value_of(&self, id: ShardedOpId) -> Option<&T::Value> {
-        if id.client() == self.id {
-            if let Some(g) = self.gathers.get(&id.seq()) {
-                return g.merged.as_ref();
-            }
+        match self.coord.placement(id) {
+            Some((shard, local)) => self.fes[shard as usize].value_of(local?),
+            None => self.coord.value_of(id),
         }
-        let (shard, local) = self.resolve(id)?;
-        self.fes[shard as usize].value_of(local)
     }
 
     /// The shard `id` was routed to, if issued by this handle. `None`
     /// for a gathered query (it has no single shard — see
     /// [`ShardedClient::gather_detail`]).
     pub fn shard_of(&self, id: ShardedOpId) -> Option<u32> {
-        self.resolve(id).map(|(s, _)| s)
+        self.coord.placement(id).map(|(s, _)| s)
     }
 
     /// For a gathered query issued by this handle: its per-shard
@@ -903,17 +696,14 @@ where
         &self,
         id: ShardedOpId,
     ) -> Option<(&BTreeMap<u32, OpId>, &BTreeMap<u32, Vec<OpId>>)> {
-        if id.client() != self.id {
-            return None;
-        }
-        self.gathers.get(&id.seq()).map(|g| (&g.subs, &g.frontier))
+        self.coord.gather_detail(id)
     }
 
     /// The shard-local [`OpId`] `id` was submitted under — the identity
     /// the owning group's replicas (and any per-shard audit trail) know
     /// the operation by. `None` if this handle never issued `id`.
     pub fn local_id(&self, id: ShardedOpId) -> Option<OpId> {
-        self.resolve(id).map(|(_, l)| l)
+        self.coord.placement(id).and_then(|(_, l)| l)
     }
 
     /// The routing-table version `id` was routed under, if issued by
@@ -922,20 +712,7 @@ where
     /// valid because migrations wait for in-flight operations before
     /// transferring their slots.
     pub fn routed_version(&self, id: ShardedOpId) -> Option<u64> {
-        if id.client() != self.id {
-            return None;
-        }
-        self.placements
-            .get(&id.seq())
-            .map(|p| p.version)
-            .or_else(|| self.gathers.get(&id.seq()).map(|g| g.version))
-    }
-
-    fn resolve(&self, id: ShardedOpId) -> Option<(u32, OpId)> {
-        if id.client() != self.id {
-            return None;
-        }
-        self.placements.get(&id.seq()).map(|p| (p.shard, p.local))
+        self.coord.routed_version(id)
     }
 }
 

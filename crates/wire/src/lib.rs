@@ -24,11 +24,11 @@
 //!   exercising the §9.3 loss/duplication/delay/reordering tolerance on
 //!   real sockets;
 //! * [`sharded`] — the sharded TCP deployment: one cluster per shard
-//!   behind [`sharded::ShardedWireClient`]s that route `key → slot →
-//!   shard` through the shared [`esds_core::RoutingTable`], speak
+//!   behind [`sharded::ShardedWireClient`]s, each the socket driver of
+//!   an [`esds_core::ShardCoordinator`] (routing `key → slot → shard`,
+//!   cross-shard `prev`, scatter-gather), speaking
 //!   `ShardedOpId`-carrying frames with a routing-table-version
-//!   handshake, and resolve cross-shard `prev` constraints by awaiting
-//!   the foreign shard's response over the wire;
+//!   handshake;
 //! * [`audit`] — an online streaming audit of a live sharded deployment:
 //!   one bounded-memory [`esds_spec::StreamingChecker`] per shard, fed
 //!   the externally visible trace plus each shard's *final* stable

@@ -9,6 +9,18 @@
 //! domain, its own labels and stabilization — here made of
 //! [`TcpReplicaNode`]s speaking the framed protocol of this crate.
 //!
+//! Routing, cross-shard `prev`, scatter-gather with its barrier-strict
+//! mode, and what a version NAK does to an operation are
+//! [`esds_core::ShardCoordinator`]'s (see its docs). A
+//! [`ShardedWireClient`] is its **driver** over sockets: frames that
+//! arrive become coordinator inputs, its effects become frames, and the
+//! client's public calls stay blocking by looping *read → input → poll →
+//! write* until the operation they were asked about is released
+//! (`submit`) or answered (`await_response`). Timeouts, the 50 ms
+//! re-send of everything unanswered (paper footnote 3 — requests, like
+//! gossip, may be lost), the `Hello` refresh that rides it, and the
+//! 200 µs nap of a waiting client are driver time, and live here.
+//!
 //! ## The routing-table-version handshake
 //!
 //! Requests travel as [`FrameKind::ShardedRequest`](crate::FrameKind)
@@ -20,64 +32,23 @@
 //! * match → the operation is accepted; its eventual answer is a
 //!   [`ShardedResponseMsg::Ok`] frame carrying the global id back;
 //! * mismatch → the node refuses the descriptor and answers a
-//!   [`ShardedResponseMsg::Nak`] carrying the authoritative table. The
-//!   client adopts the newer table and **re-routes** the operation —
-//!   minting a fresh per-shard identifier on the correct shard — so a
-//!   stale view can never read or write the wrong shard's slice.
+//!   [`ShardedResponseMsg::Nak`] carrying the authoritative table, which
+//!   the coordinator adopts — a stale view can never read or write the
+//!   wrong shard's slice.
 //!
 //! Routing is deterministic from the table, so a version match certifies
-//! the shard choice itself; no per-key check is needed.
+//! the shard choice itself; no per-key check is needed. The hidden
+//! sub-operations of a scattered whole-object query travel under the
+//! query's own global id, one per involved shard.
 //!
-//! ## Cross-shard `prev` over the wire
+//! ## Stability probes
 //!
-//! Exactly the submit-time wait of `runtime::sharded`: different shards
-//! hold disjoint slices of the object state, so operations on different
-//! shards commute and are mutually oblivious — once a foreign-shard
-//! predecessor has been *responded to*, the remaining constraint is
-//! vacuous for the state and satisfied for the client-observed order.
-//! [`ShardedWireClient::submit`] therefore walks the `prev` DAG with
-//! [`esds_core::shard_frontier`]: same-shard predecessors (including
-//! those inherited *through* foreign hops) become the local `prev` set,
-//! and every foreign predecessor encountered is awaited **over the wire**
-//! before the dependent request frame is sent to its shard.
-//!
-//! ## Whole-object queries: scatter-gather
-//!
-//! A keyless, mergeable operator (`shard_key` `None`,
-//! [`KeyedDataType::merge_gathered`] `Some` — e.g. `KvOp::Keys`) touches
-//! every shard's slice, so on a table whose slots span more than one
-//! shard the client **scatters** it: one hidden sub-operation per
-//! involved shard, each riding the ordinary request/NAK/retry protocol
-//! under its own global sequence number, gathered with the data type's
-//! merge once every shard has answered. Keyless operators *without* a
-//! merge cannot be answered truthfully from one shard's slice;
-//! [`ShardedWireClient::try_submit`] refuses them with
-//! [`WholeObjectUnsupported`] instead of mis-answering from the home
-//! shard (the pre-fix behavior this module is named after).
-//!
-//! A **strict** gathered query takes a per-shard stability barrier
-//! before scattering: the client probes its relay with a
-//! [`FrameKind::StabilityQuery`](crate::FrameKind) frame, snapshots the
-//! relay's label order as the shard's *answered frontier* (every answer
-//! this client has observed from the shard came through that relay, so
-//! the relay's order covers it), and polls until the relay knows the
-//! whole frontier stable at every replica. Only then is the strict
-//! sub-operation sent: the fresh label the relay mints for it exceeds
-//! every frontier label, and the frontier's positions are final, so the
-//! sub-operation lands after the frontier in the shard's eventual total
-//! order — per shard exactly the paper's strict guarantee, with no
-//! cross-shard commit protocol. The recorded (frontier, sub) pairs are
-//! checkable after the fact against each shard's stable watermark
-//! (`esds_spec::check_barrier_cut`).
-//!
-//! A NAK against any sub-operation re-scatters the *whole* gather under
-//! the adopted table (the involved shard set itself may have changed),
-//! re-taking barriers when strict — safe because gatherable operators
-//! are read-only queries. Cross-shard `prev` composes in both
-//! directions: a gathered query's sub-operations each carry the local
-//! frontier of the gather's `prev` set, and a later operation naming a
-//! gather as `prev` anchors on the gather's sub-operation on its own
-//! shard.
+//! A strict whole-object query's barrier is answered by the client's
+//! relay: a [`FrameKind::StabilityQuery`](crate::FrameKind) frame is
+//! replied to with the relay's label order and what of it the relay
+//! knows stable at every replica. Every answer this client has observed
+//! from the shard came through that relay, on the same in-order stream,
+//! so the reply covers it.
 //!
 //! ## Chaos
 //!
@@ -86,14 +57,14 @@
 //! traffic of every cluster dials through the proxies, so loss, delay,
 //! duplication and reordering exercise the cross-shard waits and the
 //! version handshake — not just a single group's gossip. Lost request
-//! frames are re-sent by the client's retry loop (paper footnote 3);
-//! lost gossip is re-shipped by the next tick (§9.3); duplicated batched
-//! gossip is absorbed by the watermark handshake (§10.4).
+//! frames are re-sent by the client's retry loop; lost gossip is
+//! re-shipped by the next tick (§9.3); duplicated batched gossip is
+//! absorbed by the watermark handshake (§10.4).
 //!
 //! Rebalancing *over TCP* (executing a `MigrationPlan` handoff between
 //! live clusters) is future work — see `ROADMAP.md`; the version
 //! handshake and NAK re-route implemented here are its client-visible
-//! half.
+//! half, and the coordinator's `freeze` / `flip` its routing half.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{ErrorKind, Read, Write};
@@ -102,8 +73,10 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use esds_alg::Replica;
+pub use esds_core::WholeObjectUnsupported;
 use esds_core::{
-    ClientId, KeyedDataType, OpDescriptor, OpId, ReplicaId, RoutingTable, ShardedOpId, HOME_SLOT,
+    ClientId, Effect, KeyedDataType, OpClass, OpDescriptor, OpId, ReplicaId, RoutingTable,
+    ShardCoordinator, ShardedOpId,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -112,8 +85,7 @@ use crate::chaos::{ChaosConfig, ChaosProxy};
 use crate::codec::Wire;
 use crate::frame::decode_frame;
 use crate::message::{
-    decode_message, encode_message, HelloId, ShardedRequestMsg, ShardedResponseMsg,
-    StabilityInfoMsg, WireMessage,
+    decode_message, encode_message, HelloId, ShardedRequestMsg, ShardedResponseMsg, WireMessage,
 };
 use crate::tcp::{AddrTable, NodeObs, ShardCtx, TcpClusterConfig, TcpReplicaNode};
 
@@ -451,20 +423,10 @@ where
             .collect();
         let scope = self.obs.scoped(format!("client{}", id.0));
         ShardedWireClient {
-            dt: self.dt.clone(),
+            coord: ShardCoordinator::new(self.dt.clone(), table),
             id,
-            table,
             links,
-            next_global: 0,
-            next_local: vec![0; self.shards.len()],
-            placements: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            needs_reroute: BTreeSet::new(),
-            values: BTreeMap::new(),
-            gathers: BTreeMap::new(),
-            scattering: BTreeSet::new(),
-            stability_seen: vec![0; self.shards.len()],
-            stability_last: vec![None; self.shards.len()],
+            probe_due: vec![None; self.shards.len()],
             metrics_seen: vec![0; self.shards.len()],
             metrics_last: vec![None; self.shards.len()],
             cross_shard_wait: self.cross_shard_wait,
@@ -500,7 +462,6 @@ where
         out
     }
 }
-
 /// One client↔shard wire: the shard's address table and the lazily
 /// dialed connection to this client's relay replica.
 struct ShardLink {
@@ -510,115 +471,28 @@ struct ShardLink {
     buf: BytesMut,
 }
 
-/// Where one global operation currently lives.
-struct WirePlacement<O> {
-    shard: u32,
-    local: OpId,
-    /// The operator, kept so a NAKed operation can be re-routed.
-    op: O,
-    /// Global `prev` sequence numbers as submitted.
-    prev: Vec<u64>,
-    strict: bool,
-    /// The per-shard `prev` set the descriptor carried.
-    local_prev: Vec<OpId>,
-    /// The table version the operation was last routed under.
-    version: u64,
-    /// When this placement is a hidden sub-operation of a scattered
-    /// whole-object query: the owning gather's global sequence. A NAK
-    /// never re-routes a sub-operation alone — the whole gather is
-    /// re-scattered (the involved shard set may have changed).
-    gather: Option<u64>,
-}
-
-impl<O: Clone> WirePlacement<O> {
-    /// The per-shard descriptor this placement is submitted as — the
-    /// single source for both the request frame and the trace exposed to
-    /// black-box checkers.
-    fn descriptor(&self) -> OpDescriptor<O> {
-        OpDescriptor::new(self.local, self.op.clone())
-            .with_prev(self.local_prev.iter().copied())
-            .with_strict(self.strict)
-    }
-}
-
-/// A whole-object query scattered across every involved shard.
-struct WireGather<O> {
-    op: O,
-    /// Global `prev` sequence numbers as submitted.
-    prev: Vec<u64>,
-    strict: bool,
-    /// Involved shard → global sequence of its hidden sub-operation.
-    subs: BTreeMap<u32, u64>,
-    /// The table version of the current scatter.
-    version: u64,
-    /// Strict only: per involved shard, the relay's answered-frontier
-    /// snapshot the sub-operation was barrier-ordered after — the data
-    /// [`ShardedWireClient::gather_detail`] exposes for the spec-level
-    /// conformance predicate.
-    frontier: BTreeMap<u32, Vec<OpId>>,
-}
-
-/// A keyless operator without a gather merge was submitted against a
-/// routing table whose slots span more than one shard: no single shard
-/// holds the whole object, and without [`KeyedDataType::merge_gathered`]
-/// the per-shard partial answers cannot be combined. Returned by
-/// [`ShardedWireClient::try_submit`] instead of the pre-fix behavior of
-/// silently answering from the home shard's slice.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct WholeObjectUnsupported;
-
-impl std::fmt::Display for WholeObjectUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(
-            "whole-object operator has no gather merge and the routing table spans multiple shards",
-        )
-    }
-}
-
-impl std::error::Error for WholeObjectUnsupported {}
-
-/// A client of a [`ShardedWireService`]: routes `key → slot → shard`
-/// through its view of the [`RoutingTable`], speaks the
-/// `ShardedRequest`/`ShardedResponse` protocol with each shard's relay
-/// replica, re-sends unanswered requests, and adopts newer tables from
-/// version-mismatch NAKs (re-routing the refused operation).
+/// A client of a [`ShardedWireService`]: drives an
+/// [`esds_core::ShardCoordinator`] over one connection per shard (to the
+/// shard's relay replica), speaking the `ShardedRequest` /
+/// `ShardedResponse` protocol, re-sending unanswered requests, and
+/// feeding version-mismatch NAKs back so the refused operation is
+/// re-routed under the newer table.
 ///
 /// The handle resolves only identifiers it issued itself; `prev` sets
 /// may reference any of this client's earlier submissions (a front end
 /// only ever learns identifiers it requested, paper §6.2).
 pub struct ShardedWireClient<T: KeyedDataType> {
-    dt: T,
+    coord: ShardCoordinator<T>,
     id: ClientId,
-    table: RoutingTable,
     links: Vec<ShardLink>,
-    next_global: u64,
-    /// Per-shard local sequence counters (each shard is its own OpId
-    /// namespace).
-    next_local: Vec<u64>,
-    /// Global sequence number → current placement.
-    placements: BTreeMap<u64, WirePlacement<T::Operator>>,
-    /// Global sequence numbers not yet answered.
-    pending: BTreeSet<u64>,
-    /// Pending operations refused by a NAK, awaiting re-route.
-    needs_reroute: BTreeSet<u64>,
-    /// Answers: global sequence → (value, witness).
-    values: BTreeMap<u64, (T::Value, Option<Vec<OpId>>)>,
-    /// Scattered whole-object queries by global sequence.
-    gathers: BTreeMap<u64, WireGather<T::Operator>>,
-    /// Gathers currently mid-scatter (re-entrancy guard: scattering can
-    /// block on barriers and foreign `prev` waits, which pump and may
-    /// trigger repair of *other* stale gathers, but never of the one
-    /// already being scattered).
-    scattering: BTreeSet<u64>,
-    /// Per shard: how many [`StabilityInfoMsg`] replies have arrived,
-    /// and the latest one — the barrier loop sends a fresh probe and
+    /// Per shard: when the outstanding stability probe is re-sent
+    /// (`None`: no probe outstanding) — probes and replies are as
+    /// losable as any other frame.
+    probe_due: Vec<Option<Instant>>,
+    /// Per shard: how many [`WireMessage::MetricsInfo`] replies have
+    /// arrived, and the latest one — a poll sends a fresh probe and
     /// waits for the counter to advance, so it never reads a stale
     /// snapshot.
-    stability_seen: Vec<u64>,
-    stability_last: Vec<Option<StabilityInfoMsg>>,
-    /// Per shard: how many [`WireMessage::MetricsInfo`] replies have
-    /// arrived, and the latest one — the same probe-and-advance protocol
-    /// as stability, so a poll never reads a stale snapshot.
     metrics_seen: Vec<u64>,
     metrics_last: Vec<Option<esds_obs::MetricsSnapshot>>,
     cross_shard_wait: Duration,
@@ -651,26 +525,20 @@ where
 
     /// The routing-table version this client currently routes under.
     pub fn table_version(&self) -> u64 {
-        self.table.version()
+        self.coord.table().version()
     }
 
     /// The shard `id` is currently placed on, if issued by this handle.
     /// `None` for a scattered whole-object query — it lives on every
     /// involved shard; see [`Self::gather_detail`].
     pub fn shard_of(&self, id: ShardedOpId) -> Option<u32> {
-        self.placement(id).map(|p| p.shard)
+        self.coord.placement(id).map(|(s, _)| s)
     }
 
     /// The table version `id` was last routed (for a gather: scattered)
     /// under.
     pub fn routed_version(&self, id: ShardedOpId) -> Option<u64> {
-        if id.client() != self.id {
-            return None;
-        }
-        self.placements
-            .get(&id.seq())
-            .map(|p| p.version)
-            .or_else(|| self.gathers.get(&id.seq()).map(|g| g.version))
+        self.coord.routed_version(id)
     }
 
     /// For a scattered whole-object query: the per-shard sub-operation
@@ -685,16 +553,9 @@ where
         &self,
         id: ShardedOpId,
     ) -> Option<(BTreeMap<u32, OpId>, BTreeMap<u32, Vec<OpId>>)> {
-        if id.client() != self.id {
-            return None;
-        }
-        let g = self.gathers.get(&id.seq())?;
-        let subs = g
-            .subs
-            .iter()
-            .map(|(shard, sub)| (*shard, self.placements[sub].local))
-            .collect();
-        Some((subs, g.frontier.clone()))
+        self.coord
+            .gather_detail(id)
+            .map(|(subs, frontier)| (subs.clone(), frontier.clone()))
     }
 
     /// For an *answered* scattered whole-object query: the per-shard
@@ -710,22 +571,7 @@ where
         &self,
         id: ShardedOpId,
     ) -> Option<Vec<(u32, OpDescriptor<T::Operator>, T::Value, Option<Vec<OpId>>)>> {
-        if id.client() != self.id {
-            return None;
-        }
-        let g = self.gathers.get(&id.seq())?;
-        g.subs
-            .iter()
-            .map(|(shard, sub)| {
-                let (v, w) = self.values.get(sub)?;
-                Some((
-                    *shard,
-                    self.placements[sub].descriptor(),
-                    v.clone(),
-                    w.clone(),
-                ))
-            })
-            .collect()
+        self.coord.gather_sub_trace(id)
     }
 
     /// The per-shard descriptor `id` is currently submitted as (shard,
@@ -734,53 +580,38 @@ where
     /// same constructor as the request frame's descriptor, so the
     /// recorded trace cannot diverge from what was sent.
     pub fn local_descriptor(&self, id: ShardedOpId) -> Option<(u32, OpDescriptor<T::Operator>)> {
-        self.placement(id).map(|p| (p.shard, p.descriptor()))
+        self.coord.local_descriptor(id)
     }
 
     /// The value previously returned for `id`, if answered.
     pub fn value_of(&self, id: ShardedOpId) -> Option<&T::Value> {
-        self.answer(id).map(|(v, _)| v)
+        self.coord.value_of(id)
     }
 
     /// The witness the response carried, if any (requires the deployment
     /// to run with `ReplicaConfig::with_witness`).
     pub fn witness_of(&self, id: ShardedOpId) -> Option<&Vec<OpId>> {
-        self.answer(id).and_then(|(_, w)| w.as_ref())
+        self.coord.witness_of(id)
     }
 
-    fn placement(&self, id: ShardedOpId) -> Option<&WirePlacement<T::Operator>> {
-        (id.client() == self.id)
-            .then(|| self.placements.get(&id.seq()))
-            .flatten()
-    }
-
-    fn answer(&self, id: ShardedOpId) -> Option<&(T::Value, Option<Vec<OpId>>)> {
-        (id.client() == self.id)
-            .then(|| self.values.get(&id.seq()))
-            .flatten()
-    }
-
-    /// Submits an operation and returns its global id. Single-key
-    /// operators route to the shard owning their key under this client's
-    /// table view; a keyless, mergeable operator on a table spanning
-    /// more than one shard is **scattered** across every involved shard
-    /// and gathered with [`KeyedDataType::merge_gathered`] (strict
-    /// gathers take a per-shard stability barrier first — see the
-    /// module docs). Foreign-shard `prev` entries are awaited over the
-    /// wire (blocking, up to the configured cross-shard timeout) before
-    /// request frames are sent; same-shard entries — including those
-    /// inherited through foreign hops, and the same-shard sub-operation
-    /// of a gathered predecessor — ride each shard's own protocol as the
-    /// local `prev` set.
+    /// Submits an operation and returns its global id once its request
+    /// frame(s) have been written. Single-key operators route to the
+    /// shard owning their key under this client's table view; a keyless,
+    /// mergeable operator on a table spanning more than one shard is
+    /// **scattered** across every involved shard and gathered with
+    /// [`KeyedDataType::merge_gathered`] (strict gathers take a
+    /// per-shard stability barrier first). Blocks (up to the configured
+    /// cross-shard timeout) while a foreign-shard `prev` entry is
+    /// unanswered or a barrier stabilizes; same-shard entries ride each
+    /// shard's own protocol as the local `prev` set.
     ///
     /// # Panics
     ///
-    /// Panics if `prev` names an id this handle did not issue, if a
-    /// foreign predecessor or barrier stays unanswered past the
-    /// cross-shard timeout (the deployment is then considered broken —
-    /// the same situation in which
-    /// [`ShardedWireClient::await_response`] would return `None`), or if
-    /// the operation is a whole-object query the deployment cannot
+    /// Panics if `prev` names an id this handle did not issue, if the
+    /// operation is still blocked past the cross-shard timeout (the
+    /// deployment is then considered broken — the same situation in
+    /// which [`ShardedWireClient::await_response`] would return `None`),
+    /// or if the operation is a whole-object query the deployment cannot
     /// gather — use [`Self::try_submit`] to handle that case as a value.
     pub fn submit(&mut self, op: T::Operator, prev: &[ShardedOpId], strict: bool) -> ShardedOpId {
         self.try_submit(op, prev, strict)
@@ -793,6 +624,10 @@ where
     /// from one shard's slice would silently drop every other shard's
     /// contribution).
     ///
+    /// # Errors
+    ///
+    /// [`WholeObjectUnsupported`] as described.
+    ///
     /// # Panics
     ///
     /// As [`Self::submit`], except for the un-gatherable whole-object
@@ -803,262 +638,60 @@ where
         prev: &[ShardedOpId],
         strict: bool,
     ) -> Result<ShardedOpId, WholeObjectUnsupported> {
-        for g in prev {
-            assert!(
-                g.client() == self.id,
-                "prev {g} was not issued by this client handle"
-            );
-            assert!(
-                self.placements.contains_key(&g.seq()) || self.gathers.contains_key(&g.seq()),
-                "prev {g} was never submitted via this handle"
-            );
-        }
-        self.pump();
-        let seqs: Vec<u64> = prev.iter().map(|g| g.seq()).collect();
-        if self.dt.shard_key(&op).is_none() && self.table.involved_shards().len() > 1 {
-            if !self.dt.is_gatherable(&op) {
-                return Err(WholeObjectUnsupported);
-            }
-            return Ok(self.submit_gather(op, seqs, strict));
-        }
-        // Keyed — or keyless on a table whose slots all live on one
-        // shard, where the home-slot owner holds the whole object and
-        // legacy routing is exact.
-        Ok(self.submit_keyed(op, seqs, strict))
-    }
-
-    fn submit_keyed(&mut self, op: T::Operator, seqs: Vec<u64>, strict: bool) -> ShardedOpId {
-        let slot = self.slot_of_op(&op);
-        let shard = self.table.shard_of_slot(slot);
-        let version = self.table.version();
-        let local_prev = self.local_frontier(&seqs, shard);
-        let local = OpId::new(self.id, self.next_local[shard as usize]);
-        self.next_local[shard as usize] += 1;
-        let seq = self.next_global;
-        self.next_global += 1;
+        let gathered = self.coord.classify(&op) == OpClass::Gatherable;
+        let slot = self.scope.is_enabled().then(|| self.coord.slot_of(&op));
+        let gid = self.coord.try_submit(self.id, op, prev, strict)?;
         self.m_submitted.inc();
-        if self.scope.is_enabled() {
+        if gathered {
+            self.m_gathers.inc();
+        } else if let Some(slot) = slot {
             self.slot_ops
                 .entry(slot)
                 .or_insert_with(|| self.scope.counter(&format!("slot{slot}/ops")))
                 .inc();
         }
-        if self.tracer.is_enabled() {
-            let gid = ShardedOpId::new(self.id, seq).to_string();
-            self.tracer.emit(shard, &gid, esds_obs::Stage::Submit);
-            self.tracer.emit(shard, &gid, esds_obs::Stage::Route);
-        }
-        self.placements.insert(
-            seq,
-            WirePlacement {
-                shard,
-                local,
-                op,
-                prev: seqs,
-                strict,
-                local_prev,
-                version,
-                gather: None,
-            },
-        );
-        self.pending.insert(seq);
-        self.send_placed(seq);
-        ShardedOpId::new(self.id, seq)
-    }
-
-    fn submit_gather(&mut self, op: T::Operator, prev: Vec<u64>, strict: bool) -> ShardedOpId {
-        let gid = self.next_global;
-        self.next_global += 1;
-        self.m_submitted.inc();
-        self.m_gathers.inc();
-        if self.tracer.is_enabled() {
-            let gs = ShardedOpId::new(self.id, gid).to_string();
-            // A gather has no single home shard; its spans carry shard 0
-            // and the per-shard sub-operations trace under their own ids.
-            self.tracer.emit(0, &gs, esds_obs::Stage::Submit);
-        }
-        let version = self.table.version();
-        self.gathers.insert(
-            gid,
-            WireGather {
-                op,
-                prev,
-                strict,
-                subs: BTreeMap::new(),
-                version,
-                frontier: BTreeMap::new(),
-            },
-        );
-        self.scatter(gid);
-        ShardedOpId::new(self.id, gid)
-    }
-
-    /// (Re-)scatters gather `gid` under the current table: one hidden
-    /// sub-operation per involved shard, preceded by a per-shard
-    /// stability barrier when the gather is strict. Blocking (barriers
-    /// and foreign `prev` waits run here), so never called from the
-    /// non-blocking pump — a NAKed sub-operation waits in
-    /// `needs_reroute` until [`Self::repair_gathers`] runs in an await
-    /// loop.
-    fn scatter(&mut self, gid: u64) {
-        if !self.scattering.insert(gid) {
-            return;
-        }
+        // A gather has no single home shard; its spans carry shard 0.
+        let shard = self.shard_of(gid).unwrap_or(0);
+        self.tracer
+            .emit(shard, &gid.to_string(), esds_obs::Stage::Submit);
+        // A ready operation's frame goes out in this very pump.
+        self.pump();
         let deadline = Instant::now() + self.cross_shard_wait;
-        let version = self.table.version();
-        let involved = self.table.involved_shards();
-        let (op, prev, strict) = {
-            let g = &self.gathers[&gid];
-            (g.op.clone(), g.prev.clone(), g.strict)
-        };
-        // Strict: barrier first. Snapshot each involved shard's answered
-        // frontier (the relay's order) and wait until the shard knows it
-        // stable everywhere; the fresh sub-operation label the relay
-        // then mints exceeds every frontier label, whose positions are
-        // final — so the sub-operation is ordered after everything any
-        // answer this client observed could reflect.
-        let mut frontier = BTreeMap::new();
-        if strict {
-            for s in &involved {
-                let f = self.take_barrier(*s, deadline).unwrap_or_else(|| {
-                    panic!(
-                        "barrier on shard {s} did not stabilize within {:?}",
-                        self.cross_shard_wait
-                    )
-                });
-                frontier.insert(*s, f);
-            }
-        }
-        // Retire the previous scatter (version-refused sub-operations):
-        // once out of `pending`, straggler NAKs for them are ignored.
-        let old: Vec<u64> = self.gathers[&gid].subs.values().copied().collect();
-        for s in old {
-            self.pending.remove(&s);
-            self.needs_reroute.remove(&s);
-        }
-        let mut subs = BTreeMap::new();
-        if self.tracer.is_enabled() {
-            let gs = ShardedOpId::new(self.id, gid).to_string();
-            self.tracer.emit(0, &gs, esds_obs::Stage::GatherFanout);
-        }
-        for shard in involved {
-            let local_prev = self.local_frontier(&prev, shard);
-            let local = OpId::new(self.id, self.next_local[shard as usize]);
-            self.next_local[shard as usize] += 1;
-            let sub = self.next_global;
-            self.next_global += 1;
-            self.placements.insert(
-                sub,
-                WirePlacement {
-                    shard,
-                    local,
-                    op: op.clone(),
-                    prev: prev.clone(),
-                    strict,
-                    local_prev,
-                    version,
-                    gather: Some(gid),
-                },
-            );
-            self.pending.insert(sub);
-            subs.insert(shard, sub);
-        }
-        let sub_seqs: Vec<u64> = subs.values().copied().collect();
-        {
-            let g = self.gathers.get_mut(&gid).expect("gathered");
-            g.subs = subs;
-            g.version = version;
-            g.frontier = frontier;
-        }
-        for sub in sub_seqs {
-            self.send_placed(sub);
-        }
-        self.scattering.remove(&gid);
-    }
-
-    /// The same-shard `prev` frontier of `seqs` — the shared
-    /// [`esds_core::gather_frontier`] walk. Keyed predecessors anchor on
-    /// their placement; a gathered predecessor anchors on its
-    /// sub-operation on `shard`. Every foreign (or stale-scattered)
-    /// predecessor encountered is awaited over the wire before the walk
-    /// descends through it: once answered, its constraint is satisfied
-    /// for the client-observed order and vacuous for disjoint state.
-    fn local_frontier(&mut self, seqs: &[u64], shard: u32) -> Vec<OpId> {
-        let wait = self.cross_shard_wait;
-        esds_core::gather_frontier(seqs, shard, |seq| {
-            if self.gathers.contains_key(&seq) {
-                let (gprev, sub_seqs, must_wait) = {
-                    let g = &self.gathers[&seq];
-                    let stale = g.version != self.table.version();
-                    let spans = g.subs.contains_key(&shard);
-                    (
-                        g.prev.clone(),
-                        g.subs.clone(),
-                        (stale || !spans) && !self.values.contains_key(&seq),
-                    )
-                };
-                let sub_seqs = if must_wait {
-                    // A stale gather is re-scattered (and an answered one
-                    // settled) inside the await loop; re-read the subs
-                    // afterwards so the anchor is the live sub-operation.
-                    let answered = self.await_seq(seq, wait);
-                    assert!(
-                        answered,
-                        "cross-shard prev {} unanswered after {:?}",
-                        ShardedOpId::new(self.id, seq),
-                        wait
-                    );
-                    self.gathers[&seq].subs.clone()
-                } else {
-                    sub_seqs
-                };
-                let subs: Vec<(u32, OpId)> = sub_seqs
-                    .iter()
-                    .map(|(s, sub)| (*s, self.placements[sub].local))
-                    .collect();
-                (subs, gprev)
-            } else {
-                let (p_shard, p_local, p_prev) = {
-                    let p = &self.placements[&seq];
-                    (p.shard, p.local, p.prev.clone())
-                };
-                if p_shard != shard && !self.values.contains_key(&seq) {
-                    let answered = self.await_seq(seq, wait);
-                    assert!(
-                        answered,
-                        "cross-shard prev {} unanswered after {:?}",
-                        ShardedOpId::new(self.id, seq),
-                        wait
-                    );
-                }
-                (vec![(p_shard, p_local)], p_prev)
-            }
-        })
+        assert!(
+            self.drive_until(deadline, |c| c.is_released(gid)),
+            "{gid} still blocked on {:?} after {:?}",
+            self.coord.blocked_on(gid),
+            self.cross_shard_wait
+        );
+        Ok(gid)
     }
 
     /// Waits until `id` is answered or `timeout` elapses, re-sending
     /// unanswered requests every 50 ms and processing NAK re-routes
     /// (for a scattered whole-object query: re-scattering it).
     pub fn await_response(&mut self, id: ShardedOpId, timeout: Duration) -> Option<T::Value> {
-        if id.client() != self.id
-            || !(self.placements.contains_key(&id.seq()) || self.gathers.contains_key(&id.seq()))
-        {
+        if !self.coord.contains(id) {
             return None;
         }
-        if self.await_seq(id.seq(), timeout) {
-            return self.values.get(&id.seq()).map(|(v, _)| v.clone());
+        let start = Instant::now();
+        if !self.drive_until(start + timeout, |c| c.value_of(id).is_some()) {
+            return None;
         }
-        None
+        if self.m_await_us.is_enabled() {
+            self.m_await_us.record(start.elapsed().as_micros() as u64);
+        }
+        self.coord.value_of(id).cloned()
     }
 
-    fn await_seq(&mut self, seq: u64, timeout: Duration) -> bool {
-        let start = Instant::now();
-        let deadline = start + timeout;
+    /// The blocking loop behind every public call: pump, retry and nap
+    /// until `done` holds (true) or `deadline` passes (false).
+    fn drive_until(
+        &mut self,
+        deadline: Instant,
+        done: impl Fn(&ShardCoordinator<T>) -> bool,
+    ) -> bool {
         loop {
-            if self.values.contains_key(&seq) {
-                if self.m_await_us.is_enabled() {
-                    self.m_await_us.record(start.elapsed().as_micros() as u64);
-                }
+            if done(&self.coord) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -1066,106 +699,6 @@ where
             }
             self.maybe_retry();
             self.pump();
-            self.repair_gathers();
-            std::thread::sleep(AWAIT_NAP);
-        }
-    }
-
-    /// Re-scatters every unanswered gather whose scatter predates the
-    /// current table (a sub-operation was NAKed and the adopted table
-    /// may involve a different shard set). Runs only from blocking await
-    /// loops — a re-scatter can take barriers and wait on predecessors —
-    /// and never touches a gather already mid-scatter.
-    fn repair_gathers(&mut self) {
-        let stale: Vec<u64> = self
-            .gathers
-            .iter()
-            .filter(|(gid, g)| {
-                !self.scattering.contains(gid)
-                    && !self.values.contains_key(gid)
-                    && !g.subs.is_empty()
-                    && g.version != self.table.version()
-            })
-            .map(|(gid, _)| *gid)
-            .collect();
-        for gid in stale {
-            let current = self.gathers[&gid].version == self.table.version();
-            if !current && !self.values.contains_key(&gid) {
-                self.scatter(gid);
-            }
-        }
-    }
-
-    /// Merges every gather whose sub-operations have all been answered
-    /// under the current table, caching the merged value at the gather's
-    /// own global sequence.
-    fn settle_gathers(&mut self) {
-        let ready: Vec<u64> = self
-            .gathers
-            .iter()
-            .filter(|(gid, g)| {
-                !self.values.contains_key(gid)
-                    && g.version == self.table.version()
-                    && !g.subs.is_empty()
-                    && g.subs.values().all(|s| self.values.contains_key(s))
-            })
-            .map(|(gid, _)| *gid)
-            .collect();
-        for gid in ready {
-            let (op, parts): (T::Operator, Vec<T::Value>) = {
-                let g = &self.gathers[&gid];
-                // BTreeMap iteration gives ascending shard order — the
-                // part order `merge_gathered` documents.
-                (
-                    g.op.clone(),
-                    g.subs.values().map(|s| self.values[s].0.clone()).collect(),
-                )
-            };
-            let merged = self
-                .dt
-                .merge_gathered(&op, parts)
-                .expect("scattered operators are gatherable");
-            self.values.insert(gid, (merged, None));
-        }
-    }
-
-    /// The barrier on one shard: snapshot the relay's answered frontier,
-    /// then poll fresh stability probes until the relay knows the whole
-    /// frontier stable at every replica. `None` past `deadline`.
-    fn take_barrier(&mut self, shard: u32, deadline: Instant) -> Option<Vec<OpId>> {
-        let frontier = self.fresh_stability(shard, deadline)?.order;
-        loop {
-            let info = self.fresh_stability(shard, deadline)?;
-            let stable: BTreeSet<OpId> = info.stable_everywhere.iter().copied().collect();
-            if frontier.iter().all(|id| stable.contains(id)) {
-                return Some(frontier);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Probes `shard`'s relay with a `StabilityQuery` and waits for a
-    /// reply *newer than the probe* (the per-shard receive counter
-    /// advances), re-sending every retry period — probes and replies are
-    /// as losable as any other frame. `None` past `deadline`.
-    fn fresh_stability(&mut self, shard: u32, deadline: Instant) -> Option<StabilityInfoMsg> {
-        let baseline = self.stability_seen[shard as usize];
-        let mut next_probe = Instant::now();
-        loop {
-            if Instant::now() >= next_probe {
-                self.send_stability_query(shard);
-                next_probe = Instant::now() + RETRY_EVERY;
-            }
-            self.maybe_retry();
-            self.pump();
-            if self.stability_seen[shard as usize] > baseline {
-                return self.stability_last[shard as usize].clone();
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
             std::thread::sleep(AWAIT_NAP);
         }
     }
@@ -1186,11 +719,7 @@ where
         let mut next_probe = Instant::now();
         loop {
             if Instant::now() >= next_probe {
-                let msg: WireMessage<T::Operator, T::Value> = WireMessage::MetricsQuery;
-                let mut out = BytesMut::new();
-                encode_message(&msg, &mut out);
-                let id = self.id;
-                self.links[shard as usize].send(id, &out, true);
+                self.send_query(shard, &WireMessage::MetricsQuery);
                 next_probe = Instant::now() + RETRY_EVERY;
             }
             self.maybe_retry();
@@ -1205,156 +734,66 @@ where
         }
     }
 
-    /// Sends a `StabilityQuery` frame to `shard`'s relay. The Hello
+    /// Sends a payload-free query frame to `shard`'s relay. The Hello
     /// preamble is refreshed with it: the reply travels through the
     /// node's registered-clients map, so registration must have arrived.
-    fn send_stability_query(&mut self, shard: u32) {
-        let msg: WireMessage<T::Operator, T::Value> = WireMessage::StabilityQuery;
+    fn send_query(&mut self, shard: u32, msg: &WireMessage<T::Operator, T::Value>) {
+        let mut out = BytesMut::new();
+        encode_message(msg, &mut out);
+        self.links[shard as usize].send(self.id, &out, true);
+    }
+
+    /// Encodes and sends one request frame to its shard's relay. Failures
+    /// are absorbed — the retry loop re-sends.
+    fn send_request(&mut self, e: Effect<T::Operator>, refresh_hello: bool) {
+        let Effect::Send {
+            shard,
+            global,
+            version,
+            desc,
+        } = e
+        else {
+            return;
+        };
+        let msg: WireMessage<T::Operator, T::Value> =
+            WireMessage::ShardedRequest(ShardedRequestMsg {
+                version,
+                global,
+                desc,
+            });
         let mut out = BytesMut::new();
         encode_message(&msg, &mut out);
-        let id = self.id;
-        self.links[shard as usize].send(id, &out, true);
+        self.links[shard as usize].send(self.id, &out, refresh_hello);
     }
 
-    /// The slot an operator is attributed to (keyless → [`HOME_SLOT`]).
-    fn slot_of_op(&self, op: &T::Operator) -> u16 {
-        match self.dt.shard_key(op) {
-            Some(k) => self.table.slot_of_key(k),
-            None => HOME_SLOT,
-        }
-    }
-
-    /// Re-sends every unanswered request when the retry period lapses
-    /// (paper footnote 3 — requests, like gossip, may be lost).
+    /// Re-sends every unanswered request when the retry period lapses,
+    /// and any stability probe whose own period has.
     fn maybe_retry(&mut self) {
-        if Instant::now() < self.next_retry {
+        let now = Instant::now();
+        for shard in 0..self.links.len() {
+            if self.probe_due[shard].is_some_and(|due| now >= due) {
+                self.probe_due[shard] = Some(now + RETRY_EVERY);
+                self.send_query(shard as u32, &WireMessage::StabilityQuery);
+            }
+        }
+        if now < self.next_retry {
             return;
         }
-        self.next_retry = Instant::now() + RETRY_EVERY;
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .copied()
-            .filter(|s| !self.needs_reroute.contains(s))
-            .collect();
+        self.next_retry = now + RETRY_EVERY;
         // Retries refresh the Hello preamble: under chaos the original
         // Hello may have been dropped while the connection stayed up, in
         // which case the node is answering an unregistered client into
         // the void. Re-registering is idempotent and a Hello frame is a
         // few bytes, so every retry tick repairs registration for free.
-        for seq in due {
+        for e in self.coord.unanswered_sends() {
             self.m_resends.inc();
-            self.send_placed_refreshing(seq, true);
-        }
-        let rerouted: Vec<u64> = self.needs_reroute.iter().copied().collect();
-        for seq in rerouted {
-            if self.try_reroute(seq) {
-                self.needs_reroute.remove(&seq);
-            }
+            self.send_request(e, true);
         }
     }
 
-    /// Encodes and sends the request frame for a placed operation to its
-    /// shard's relay. Failures are absorbed — the retry loop re-sends.
-    fn send_placed(&mut self, seq: u64) {
-        self.send_placed_refreshing(seq, false);
-    }
-
-    /// Like [`Self::send_placed`]; `refresh_hello` additionally repeats
-    /// the Hello preamble on an already-open connection (see
-    /// [`Self::maybe_retry`]).
-    fn send_placed_refreshing(&mut self, seq: u64, refresh_hello: bool) {
-        let p = &self.placements[&seq];
-        let msg: WireMessage<T::Operator, T::Value> =
-            WireMessage::ShardedRequest(ShardedRequestMsg {
-                version: p.version,
-                global: ShardedOpId::new(self.id, seq),
-                desc: p.descriptor(),
-            });
-        let mut out = BytesMut::new();
-        encode_message(&msg, &mut out);
-        let shard = p.shard as usize;
-        let id = self.id;
-        self.links[shard].send(id, &out, refresh_hello);
-    }
-
-    /// Re-routes a NAK-refused operation under the (newer) adopted
-    /// table. Returns false — leaving the operation queued — while a
-    /// now-foreign predecessor is still unanswered; the next retry tick
-    /// tries again, so a re-route can never deadlock the pump.
-    fn try_reroute(&mut self, seq: u64) -> bool {
-        if self.values.contains_key(&seq) {
-            return true; // answered in the meantime; nothing to move
-        }
-        if self.placements[&seq].gather.is_some() {
-            // A gather's sub-operation is never re-routed alone: the
-            // adopted table may involve a different shard *set*, and a
-            // strict re-scatter must re-take barriers — blocking work
-            // the pump cannot do. Leave it queued; `repair_gathers`
-            // re-scatters the whole gather from the await loop.
-            return false;
-        }
-        if self.placements[&seq].version == self.table.version() {
-            // Already re-routed under the current table: this NAK is a
-            // straggler or a duplicate (lossy/duplicating links retry
-            // the refused frame, and every copy is NAKed). Minting a
-            // *new* per-shard id here would submit the operation twice —
-            // the shard dedupes by id, so a second id is a second
-            // application. Just re-send the current placement.
-            self.send_placed(seq);
-            return true;
-        }
-        let (op, prev) = {
-            let p = &self.placements[&seq];
-            (p.op.clone(), p.prev.clone())
-        };
-        let slot = self.slot_of_op(&op);
-        let shard = self.table.shard_of_slot(slot);
-        // Every foreign predecessor must already be answered — and every
-        // gathered predecessor either answered or freshly scattered
-        // under the current table (anchoring on a version-refused
-        // sub-operation would wait on an id the shard never accepted).
-        // A re-route happens inside the pump, so it must not block.
-        let mut ready = true;
-        let local_prev: Vec<OpId> = esds_core::gather_frontier(&prev, shard, |s| {
-            if let Some(g) = self.gathers.get(&s) {
-                let answered = self.values.contains_key(&s);
-                if !answered && (g.version != self.table.version() || !g.subs.contains_key(&shard))
-                {
-                    ready = false;
-                }
-                let subs: Vec<(u32, OpId)> = g
-                    .subs
-                    .iter()
-                    .map(|(sh, sub)| (*sh, self.placements[sub].local))
-                    .collect();
-                (subs, g.prev.clone())
-            } else {
-                let p = &self.placements[&s];
-                if p.shard != shard && !self.values.contains_key(&s) {
-                    ready = false;
-                }
-                (vec![(p.shard, p.local)], p.prev.clone())
-            }
-        });
-        if !ready {
-            return false;
-        }
-        let local = OpId::new(self.id, self.next_local[shard as usize]);
-        self.next_local[shard as usize] += 1;
-        let version = self.table.version();
-        let p = self.placements.get_mut(&seq).expect("placed");
-        p.shard = shard;
-        p.local = local;
-        p.local_prev = local_prev;
-        p.version = version;
-        self.send_placed(seq);
-        true
-    }
-
-    /// Drains whatever response frames have arrived on any shard link.
+    /// One driver round: whatever frames have arrived on any shard link
+    /// become coordinator inputs, then its effects are executed.
     fn pump(&mut self) {
-        let mut naks: Vec<(u64, RoutingTable)> = Vec::new();
         for (shard, link) in self.links.iter_mut().enumerate() {
             link.read_into_buf();
             loop {
@@ -1370,22 +809,12 @@ where
                                 global,
                                 resp,
                             }) if global.client() == self.id => {
-                                self.pending.remove(&global.seq());
-                                self.needs_reroute.remove(&global.seq());
-                                // Count only first deliveries: a duplicating
-                                // link may replay the response frame, and
-                                // `ops_answered` must stay ≤ `ops_submitted`.
-                                if let std::collections::btree_map::Entry::Vacant(e) =
-                                    self.values.entry(global.seq())
-                                {
-                                    e.insert((resp.value, resp.witness));
-                                    self.m_answered.inc();
-                                    self.tracer.emit(
-                                        shard as u32,
-                                        &global.to_string(),
-                                        esds_obs::Stage::Answer,
-                                    );
-                                }
+                                self.coord.on_answer(
+                                    shard as u32,
+                                    resp.id,
+                                    resp.value,
+                                    resp.witness,
+                                );
                             }
                             WireMessage::ShardedResponse(ShardedResponseMsg::Nak {
                                 global,
@@ -1397,11 +826,13 @@ where
                                     &global.to_string(),
                                     esds_obs::Stage::NakReroute,
                                 );
-                                naks.push((global.seq(), table));
+                                self.coord.on_nak(global, table);
                             }
                             WireMessage::StabilityInfo(info) => {
-                                self.stability_last[shard] = Some(info);
-                                self.stability_seen[shard] += 1;
+                                self.probe_due[shard] = None;
+                                let stable: BTreeSet<OpId> =
+                                    info.stable_everywhere.into_iter().collect();
+                                self.coord.on_stability(shard as u32, info.order, &stable);
                             }
                             WireMessage::MetricsInfo(snap) => {
                                 self.metrics_last[shard] = Some(snap);
@@ -1419,15 +850,35 @@ where
                 }
             }
         }
-        for (seq, table) in naks {
-            if table.version() > self.table.version() {
-                self.table = table;
-            }
-            if self.pending.contains(&seq) && !self.try_reroute(seq) {
-                self.needs_reroute.insert(seq);
+        let mut fanned_out = None;
+        for e in self.coord.poll() {
+            match e {
+                Effect::Send { shard, global, .. } => {
+                    if self.tracer.is_enabled() {
+                        let gs = global.to_string();
+                        if self.coord.gather_detail(global).is_none() {
+                            self.tracer.emit(shard, &gs, esds_obs::Stage::Route);
+                        } else if fanned_out.replace(global) != Some(global) {
+                            self.tracer.emit(0, &gs, esds_obs::Stage::GatherFanout);
+                        }
+                    }
+                    self.send_request(e, false);
+                }
+                Effect::ProbeStability { shard } => {
+                    self.probe_due[shard as usize] = Some(Instant::now() + RETRY_EVERY);
+                    self.send_query(shard, &WireMessage::StabilityQuery);
+                }
+                // Counted once per operation, on first delivery: a
+                // duplicating link may replay the response frame, and
+                // `ops_answered` must stay ≤ `ops_submitted`.
+                Effect::Answered { global } => {
+                    self.m_answered.inc();
+                    let shard = self.shard_of(global).unwrap_or(0);
+                    self.tracer
+                        .emit(shard, &global.to_string(), esds_obs::Stage::Answer);
+                }
             }
         }
-        self.settle_gathers();
     }
 }
 
