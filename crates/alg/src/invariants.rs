@@ -9,10 +9,10 @@
 //!
 //! Scope: the message-content invariants (the parts of 7.3, 7.5, 7.10,
 //! 7.17, 7.18 quantifying over in-flight gossip) are stated by the paper
-//! for the *full-snapshot* gossip algorithm. Under the §10.4 optimizations
-//! (incremental gossip, GC) messages are deltas and those parts do not
-//! apply verbatim; [`check_all`] detects the configuration and checks only
-//! the applicable invariants. Replica-state invariants are checked always.
+//! for the *full-snapshot* gossip algorithm. Under batched gossip
+//! (§10.2 + §10.4) messages are deltas and those parts do not apply
+//! verbatim; [`check_all`] detects the configuration and checks only the
+//! applicable invariants. Replica-state invariants are checked always.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -85,7 +85,6 @@ pub fn check_all<T: SerialDataType>(view: &SystemView<'_, T>) -> Vec<InvariantVi
 fn full_gossip_messages<T: SerialDataType>(view: &SystemView<'_, T>) -> bool {
     view.replicas.iter().all(|r| {
         r.config().gossip == GossipStrategy::Full
-            && !r.config().gc_gossip
             && !r.is_recovering()
             // §10.2 compaction removes descriptors retroactively, so an
             // in-flight message can legitimately be "ahead" of rcvd_r.

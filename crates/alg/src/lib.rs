@@ -5,9 +5,9 @@
 //! optimizations and the Sections 7–8 invariants as runtime checks:
 //!
 //! * [`Replica`] — the replica automaton (Fig. 7), with memoization
-//!   (§10.1), gossip GC and local descriptor compaction (§10.2, see
-//!   [`Replica::compact`]), incremental gossip (§10.4), and
-//!   crash-recovery (§9.3);
+//!   (§10.1), local descriptor compaction (§10.2, see
+//!   [`Replica::compact`]), batched delta gossip (§10.2 + §10.4, see
+//!   [`GossipStrategy::Batched`]), and crash-recovery (§9.3);
 //! * [`ReplicaConfig::commute`] + [`SafeSubmitter`] — the commutativity-
 //!   exploiting variant (Fig. 11, §10.3) for `SafeUsers` workloads;
 //! * [`FrontEnd`] — the client front end (Fig. 6);

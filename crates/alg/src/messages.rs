@@ -65,8 +65,8 @@ impl<O> GossipMsg<O> {
         self.rcvd.len() + self.done.len() + self.labels.len() + self.stable.len()
     }
 
-    /// Whether the message carries no information (incremental gossip can
-    /// skip sending these).
+    /// Whether the message carries no information (what a recovering
+    /// replica gossips).
     pub fn is_empty(&self) -> bool {
         self.entry_count() == 0
     }
@@ -129,7 +129,7 @@ impl<O> BatchedGossipMsg<O> {
 /// [`crate::Replica::on_gossip_envelope`] consumes it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum GossipEnvelope<O> {
-    /// A full or incremental `(R, D, L, S)` snapshot.
+    /// A full `(R, D, L, S)` snapshot.
     Snapshot(GossipMsg<O>),
     /// A batched delta with summary watermarks.
     Batched(BatchedGossipMsg<O>),

@@ -74,26 +74,25 @@ pub enum GossipStrategy {
     /// `(R, D, L, S)` snapshot.
     #[default]
     Full,
-    /// Send only what changed since the last gossip to that peer. Safe on
-    /// reliable channels (the components are merged with commutative set
-    /// unions / label minima, so reordering is harmless), unsafe under
-    /// message loss.
-    Incremental,
-    /// §10.2 + §10.4 combined: accumulate
-    /// [`batch_interval`](ReplicaConfig::batch_interval) gossip intervals
-    /// into one [`BatchedGossipMsg`] per peer, open each exchange with an
+    /// §10.2 + §10.4 combined: accumulate `every` gossip ticks into one
+    /// [`BatchedGossipMsg`] per peer, open each exchange with an
     /// [`IdSummary`] watermark handshake so descriptors the receiver's
     /// summary covers are never re-shipped, carry `done`/`stable` as
     /// summaries (the receiver folds in only the
     /// [`IdSummary::difference`]), and piggyback stable-prefix
     /// acknowledgements on the `stable` summary. Steady-state cost is
-    /// O(delta + #clients) per exchange instead of O(history). Like
-    /// [`Incremental`](GossipStrategy::Incremental), the `R`/`L` deltas
-    /// assume reliable in-order channels; on a send failure call
-    /// [`Replica::reset_watermark`] to rewind. Driven through
+    /// O(delta + #clients) per exchange instead of O(history). The
+    /// `R`/`L` deltas assume reliable in-order channels; on a send
+    /// failure call [`Replica::reset_watermark`] to rewind. Driven through
     /// [`Replica::poll_gossip`]; [`Replica::make_gossip`] falls back to a
     /// full snapshot (the always-safe resync message).
-    Batched,
+    Batched {
+        /// Gossip ticks [`Replica::poll_gossip`] accumulates per peer
+        /// before emitting one exchange (`1` = exchange on every tick,
+        /// `k` trades response time for 1/k the messages). Values below 1
+        /// are treated as 1.
+        every: u32,
+    },
 }
 
 /// How response values are produced (paper §10.1 / §10.3).
@@ -120,20 +119,9 @@ pub struct ReplicaConfig {
     pub value_strategy: ValueStrategy,
     /// Gossip construction strategy (§10.4).
     pub gossip: GossipStrategy,
-    /// Prune from gossip to peer `p` the `R`/`D`/`L` entries of operations
-    /// `r` knows are stable at `p` (§10.2/§10.4 memory & message GC). The
-    /// `S` component is never pruned (peers still count stability votes).
-    /// Incompatible with crash-recovery experiments (see `DESIGN.md`).
-    pub gc_gossip: bool,
     /// Attach to each response a witness: the local label order up to the
     /// answered operation (used by the `esds-spec` checkers; costs memory).
     pub record_witness: bool,
-    /// How many gossip ticks [`Replica::poll_gossip`] accumulates per peer
-    /// before emitting one batched exchange (only consulted under
-    /// [`GossipStrategy::Batched`]; `1` = exchange on every tick, `k`
-    /// trades response-time for 1/k the messages). Values below 1 are
-    /// treated as 1.
-    pub batch_interval: u32,
     /// Track a per-handler [`WalDelta`] (ids admitted to `rcvd`, label
     /// minima that changed) for a write-ahead log. Drivers drain it with
     /// [`Replica::take_wal_delta`] after every mutating input and hand it
@@ -149,9 +137,7 @@ impl Default for ReplicaConfig {
             memoize: true,
             value_strategy: ValueStrategy::Recompute,
             gossip: GossipStrategy::Full,
-            gc_gossip: false,
             record_witness: false,
-            batch_interval: 1,
             durable: false,
         }
     }
@@ -184,25 +170,12 @@ impl ReplicaConfig {
         self
     }
 
-    /// Sets the gossip strategy.
-    #[must_use]
-    pub fn with_gossip(mut self, g: GossipStrategy) -> Self {
-        self.gossip = g;
-        self
-    }
-
     /// Enables batched gossip with one exchange per `every` gossip ticks.
     #[must_use]
     pub fn with_batched(mut self, every: u32) -> Self {
-        self.gossip = GossipStrategy::Batched;
-        self.batch_interval = every.max(1);
-        self
-    }
-
-    /// Enables gossip GC.
-    #[must_use]
-    pub fn with_gc(mut self) -> Self {
-        self.gc_gossip = true;
+        self.gossip = GossipStrategy::Batched {
+            every: every.max(1),
+        };
         self
     }
 
@@ -295,7 +268,7 @@ pub struct RespondEffect<V> {
     pub msg: ResponseMsg<V>,
 }
 
-/// Counters for the experiments (ablations A1/A3 in `DESIGN.md`).
+/// Counters for the experiments (ablations A1/A3 of `run_all`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct ReplicaStats {
     /// `do_it` actions performed.
@@ -359,15 +332,6 @@ struct EagerState<T: SerialDataType> {
     vals: BTreeMap<OpId, T::Value>,
 }
 
-/// Per-peer incremental-gossip watermark: what has already been sent.
-#[derive(Clone, Debug, Default)]
-struct Watermark {
-    rcvd: BTreeSet<OpId>,
-    done: BTreeSet<OpId>,
-    labels: BTreeMap<OpId, Label>,
-    stable: BTreeSet<OpId>,
-}
-
 /// Per-peer batched-gossip state (§10.2/§10.4): what the peer has told us
 /// it holds, what we have shipped it, and what of its knowledge we have
 /// already folded in.
@@ -380,9 +344,8 @@ struct BatchState {
     /// re-sends between handshake updates; unwound by
     /// [`Replica::reset_watermark`] on connection loss).
     sent_rcvd: IdSummary,
-    /// Lowest label shipped per operation (re-ship on decrease, like the
-    /// incremental strategy — the delta rule the checkers' in-flight
-    /// reasoning depends on).
+    /// Lowest label shipped per operation (re-ship on decrease — the
+    /// delta rule the checkers' in-flight reasoning depends on).
     sent_labels: BTreeMap<OpId, Label>,
     /// The peer's `done`/`stable` summaries already folded into our state;
     /// incoming summaries are diffed against these so receives cost
@@ -441,7 +404,6 @@ pub struct Replica<T: SerialDataType> {
     /// Ops newly done at this replica since the last [`Replica::take_newly_done`]
     /// drain (harness instrumentation for the Lemma 9.2 experiments).
     newly_done: Vec<OpId>,
-    watermarks: BTreeMap<ReplicaId, Watermark>,
     /// Per-peer batched-gossip state (`GossipStrategy::Batched` only).
     batch: BTreeMap<ReplicaId, BatchState>,
     /// Summary of every identifier ever admitted to `rcvd` (never pruned
@@ -512,7 +474,6 @@ impl<T: SerialDataType> Replica<T> {
             eager,
             eager_backlog: Vec::new(),
             newly_done: Vec::new(),
-            watermarks: BTreeMap::new(),
             batch: BTreeMap::new(),
             rcvd_summary: IdSummary::new(),
             done_here_summary: IdSummary::new(),
@@ -529,10 +490,6 @@ impl<T: SerialDataType> Replica<T> {
     /// (paper §9.3). The replica stays passive — no labeling, no responses,
     /// no gossip content — until it has received gossip from every peer.
     pub fn recover(dt: T, stub: RecoveryStub, n: usize, config: ReplicaConfig) -> Self {
-        assert!(
-            !config.gc_gossip,
-            "crash recovery requires ungarbage-collected gossip (see DESIGN.md)"
-        );
         let mut r = Replica::new(dt, stub.id, n, config);
         r.gen = LabelGenerator::from_counter(stub.id, stub.next_counter);
         r.persisted_labels = stub.local_min_labels.into_iter().collect();
@@ -561,18 +518,13 @@ impl<T: SerialDataType> Replica<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `config` disables memoization, selects
-    /// [`ValueStrategy::EagerCommute`], or enables `gc_gossip`; if the
-    /// prefix is not in strictly increasing label order; or on the
-    /// [`Replica::new`] conditions.
+    /// Panics if `config` disables memoization or selects
+    /// [`ValueStrategy::EagerCommute`]; if the prefix is not in strictly
+    /// increasing label order; or on the [`Replica::new`] conditions.
     pub fn restore(dt: T, img: RestoreImage<T>, n: usize, config: ReplicaConfig) -> Self {
         assert!(
             config.memoize && config.value_strategy == ValueStrategy::Recompute,
             "restore rebuilds the §10.1 memo prefix: it requires memoize + Recompute"
-        );
-        assert!(
-            !config.gc_gossip,
-            "crash recovery requires ungarbage-collected gossip (see DESIGN.md)"
         );
         let mut r = Replica::new(dt, img.id, n, config);
         r.gen = LabelGenerator::from_counter(img.id, img.next_counter);
@@ -892,14 +844,13 @@ impl<T: SerialDataType> Replica<T> {
         self.step()
     }
 
-    /// Builds the gossip message for `peer` (`send_{rr'}` in Fig. 7) and
-    /// updates incremental watermarks. A recovering replica gossips an
-    /// empty message (it has nothing trustworthy to say yet, but peers
-    /// learn it is alive). Under [`GossipStrategy::Batched`] this returns
-    /// the full snapshot — the always-safe resync message — because the
-    /// batched exchange (delta construction, pacing) lives in
-    /// [`Replica::poll_gossip`].
-    pub fn make_gossip(&mut self, peer: ReplicaId) -> GossipMsg<T::Operator> {
+    /// Builds the full-snapshot gossip message (`send_{rr'}` in Fig. 7;
+    /// the snapshot is the same for every `r'`). A recovering replica
+    /// gossips an empty message (it has nothing trustworthy to say yet,
+    /// but peers learn it is alive). Under [`GossipStrategy::Batched`]
+    /// this is the always-safe resync message; the batched exchange
+    /// (delta construction, pacing) lives in [`Replica::poll_gossip`].
+    pub fn make_gossip(&mut self, _peer: ReplicaId) -> GossipMsg<T::Operator> {
         let here = self.idx(self.id);
         let msg = if self.recovering.is_some() {
             GossipMsg {
@@ -910,66 +861,12 @@ impl<T: SerialDataType> Replica<T> {
                 stable: Vec::new(),
             }
         } else {
-            match self.config.gossip {
-                GossipStrategy::Full | GossipStrategy::Batched => {
-                    let peer_stable = &self.stable[self.idx(peer)];
-                    let skip =
-                        |id: &OpId| -> bool { self.config.gc_gossip && peer_stable.contains(id) };
-                    GossipMsg {
-                        from: self.id,
-                        rcvd: self
-                            .rcvd
-                            .values()
-                            .filter(|d| !skip(&d.id))
-                            .cloned()
-                            .collect(),
-                        done: self.done[here]
-                            .iter()
-                            .filter(|x| !skip(x))
-                            .copied()
-                            .collect(),
-                        labels: self.labels.iter().filter(|(id, _)| !skip(id)).collect(),
-                        // S is never pruned: peers still need stability votes.
-                        stable: self.stable[here].iter().copied().collect(),
-                    }
-                }
-                GossipStrategy::Incremental => {
-                    let wm = self.watermarks.entry(peer).or_default();
-                    let rcvd: Vec<_> = self
-                        .rcvd
-                        .values()
-                        .filter(|d| !wm.rcvd.contains(&d.id))
-                        .cloned()
-                        .collect();
-                    let done: Vec<_> = self.done[here]
-                        .iter()
-                        .filter(|x| !wm.done.contains(x))
-                        .copied()
-                        .collect();
-                    let labels: Vec<_> = self
-                        .labels
-                        .iter()
-                        .filter(|(id, l)| wm.labels.get(id).is_none_or(|sent| l < sent))
-                        .collect();
-                    let stable: Vec<_> = self.stable[here]
-                        .iter()
-                        .filter(|x| !wm.stable.contains(x))
-                        .copied()
-                        .collect();
-                    wm.rcvd.extend(rcvd.iter().map(|d| d.id));
-                    wm.done.extend(done.iter().copied());
-                    for (id, l) in &labels {
-                        wm.labels.insert(*id, *l);
-                    }
-                    wm.stable.extend(stable.iter().copied());
-                    GossipMsg {
-                        from: self.id,
-                        rcvd,
-                        done,
-                        labels,
-                        stable,
-                    }
-                }
+            GossipMsg {
+                from: self.id,
+                rcvd: self.rcvd.values().cloned().collect(),
+                done: self.done[here].iter().copied().collect(),
+                labels: self.labels.iter().collect(),
+                stable: self.stable[here].iter().copied().collect(),
             }
         };
         self.stats.gossip_out += 1;
@@ -977,32 +874,31 @@ impl<T: SerialDataType> Replica<T> {
         msg
     }
 
-    /// Forgets the per-peer delta state for `peer` — the incremental
-    /// watermark and the batched handshake/sent summaries — so the next
-    /// gossip to it carries everything again. Called at every healthy
-    /// replica when `peer` recovers from a crash ("requesting new gossip",
-    /// §9.3) and by transports when a connection to `peer` drops (a lost
-    /// delta would otherwise never be re-shipped).
+    /// Forgets the batched delta state for `peer` — handshake, sent
+    /// summaries, retired labels — so the next gossip to it carries
+    /// everything again. Called at every healthy replica when `peer`
+    /// recovers from a crash ("requesting new gossip", §9.3) and by
+    /// transports when a connection to `peer` drops or is dialed anew (a
+    /// lost delta would otherwise never be re-shipped, and the peer
+    /// behind a new connection may have restarted without its memory).
     pub fn reset_watermark(&mut self, peer: ReplicaId) {
-        self.watermarks.remove(&peer);
         self.batch.remove(&peer);
     }
 
     /// Produces the gossip message for `peer` under the configured
-    /// strategy's **pacing**: `Full`/`Incremental` emit a snapshot on
-    /// every call; `Batched` returns `None` until
-    /// [`batch_interval`](ReplicaConfig::batch_interval) ticks have
+    /// strategy's **pacing**: `Full` emits a snapshot on every call;
+    /// `Batched { every }` returns `None` until `every` ticks have
     /// accumulated for this peer, then one [`BatchedGossipMsg`] covering
     /// everything since the last exchange. Transports should call this
     /// once per peer per gossip tick and send only `Some` results.
     pub fn poll_gossip(&mut self, peer: ReplicaId) -> Option<GossipEnvelope<T::Operator>> {
-        if self.config.gossip != GossipStrategy::Batched || self.recovering.is_some() {
-            return Some(GossipEnvelope::Snapshot(self.make_gossip(peer)));
-        }
-        let interval = self.config.batch_interval.max(1);
+        let every = match self.config.gossip {
+            GossipStrategy::Batched { every } if self.recovering.is_none() => every.max(1),
+            _ => return Some(GossipEnvelope::Snapshot(self.make_gossip(peer))),
+        };
         let bs = self.batch.entry(peer).or_default();
         bs.ticks += 1;
-        if bs.ticks < interval {
+        if bs.ticks < every {
             return None;
         }
         bs.ticks = 0;
@@ -1020,11 +916,10 @@ impl<T: SerialDataType> Replica<T> {
     /// stats counters.
     ///
     /// Wire bytes are O(delta + #clients); *construction* still scans the
-    /// label map (like every other strategy — `LabelMap` has no
-    /// changed-since index), but the per-peer memory is bounded: sent
-    /// descriptors/knowledge live in summaries, and sent-label entries
-    /// are dropped once the op is stable at the peer (vs the incremental
-    /// strategy's ever-growing per-peer id sets).
+    /// label map (`LabelMap` has no changed-since index), but the per-peer
+    /// memory is bounded: sent descriptors/knowledge live in summaries,
+    /// and sent-label entries are dropped once the op is stable at the
+    /// peer.
     pub fn make_batched_gossip(&mut self, peer: ReplicaId) -> BatchedGossipMsg<T::Operator> {
         let peer_stable = &self.stable[self.idx(peer)];
         let bs = self.batch.entry(peer).or_default();
@@ -1037,14 +932,13 @@ impl<T: SerialDataType> Replica<T> {
         for d in &rcvd {
             bs.sent_rcvd.insert(d.id);
         }
-        // §10.2 label GC, mirroring `gc_gossip`'s `L` pruning: an op
-        // stable at the peer holds its frozen system-minimum label there
-        // (Invariant 7.19), so its shipped label is retired and its
-        // sent-label bookkeeping dropped — `sent_labels` tracks only
-        // labels still in flux, not all of history. Only *shipped* labels
-        // retire (stability is reached through our own earlier batches),
-        // and retirement lives in `label_gc` so `reset_watermark` rewinds
-        // it for recovered peers.
+        // §10.2 label GC: an op stable at the peer holds its frozen
+        // system-minimum label there (Invariant 7.19), so its shipped
+        // label is retired and its sent-label bookkeeping dropped —
+        // `sent_labels` tracks only labels still in flux, not all of
+        // history. Only *shipped* labels retire (stability is reached
+        // through our own earlier batches), and retirement lives in
+        // `label_gc` so `reset_watermark` rewinds it for recovered peers.
         {
             let BatchState {
                 sent_labels,
@@ -1699,22 +1593,8 @@ mod tests {
         assert_eq!(memo.current_state(), basic.current_state());
     }
 
-    #[test]
-    fn incremental_gossip_carries_only_deltas() {
-        let cfg = ReplicaConfig::default().with_gossip(GossipStrategy::Incremental);
-        let (mut a, mut b) = two_replicas(cfg);
-        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
-        let g1 = a.make_gossip(ReplicaId(1));
-        assert_eq!(g1.rcvd.len(), 1);
-        let g2 = a.make_gossip(ReplicaId(1));
-        assert!(g2.is_empty(), "nothing changed since last gossip");
-        let _ = b.on_gossip(g1);
-        let _ = b.on_gossip(g2);
-        assert!(b.done_here().contains(&id(0, 0)));
-    }
-
     /// Exchange one batched round in each direction via poll_gossip
-    /// (batch_interval 1 ⇒ always due).
+    /// (`every` = 1 ⇒ always due).
     fn sync_batched(a: &mut Replica<Ctr>, b: &mut Replica<Ctr>) -> Vec<RespondEffect<i64>> {
         let mut effects = Vec::new();
         if let Some(env) = a.poll_gossip(b.id()) {
@@ -1762,7 +1642,7 @@ mod tests {
         let (mut a, mut b) = two_replicas(cfg);
         let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
         let Some(GossipEnvelope::Batched(g1)) = a.poll_gossip(ReplicaId(1)) else {
-            panic!("batch_interval 1 must emit");
+            panic!("every = 1 must emit");
         };
         assert_eq!(g1.rcvd.len(), 1, "first exchange ships the descriptor");
         let _ = b.on_gossip_envelope(GossipEnvelope::Batched(g1));
@@ -1932,25 +1812,6 @@ mod tests {
         let g = a.make_gossip(ReplicaId(1));
         assert_eq!(g.rcvd.len(), 1, "resync message carries the snapshot");
         assert_eq!(g.done.len(), 1);
-    }
-
-    #[test]
-    fn gc_gossip_prunes_for_knowing_peer() {
-        let cfg = ReplicaConfig::default().with_gc();
-        let (mut a, mut b) = two_replicas(cfg);
-        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
-        for _ in 0..4 {
-            sync(&mut a, &mut b);
-        }
-        assert!(a.stable(ReplicaId(1)).contains(&id(0, 0)));
-        let g = a.make_gossip(ReplicaId(1));
-        assert!(
-            g.rcvd.is_empty(),
-            "R pruned for peers that have the op stable"
-        );
-        assert!(g.done.is_empty());
-        assert!(g.labels.is_empty());
-        assert_eq!(g.stable.len(), 1, "S is never pruned");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper's evaluation
-//! (see `DESIGN.md` §5 and `EXPERIMENTS.md`), or — with `--only <name>`,
+//! (indexed in the `esds_bench` crate docs), or — with `--only <name>`,
 //! repeatable — just the named ones (`run_all --only tab_commute`; the
 //! names are those of [`EXPERIMENTS`]).
 //!
@@ -88,7 +88,7 @@ fn render_json(miniature: bool, series: &[Series]) -> String {
 }
 
 /// Every experiment `--only` can name, in execution order.
-const EXPERIMENTS: [&str; 17] = [
+const EXPERIMENTS: [&str; 16] = [
     "fig_scalability",
     "fig_strict_latency",
     "fig_shard_scalability",
@@ -102,7 +102,6 @@ const EXPERIMENTS: [&str; 17] = [
     "tab_memoization",
     "tab_commute",
     "tab_gossip_strategies",
-    "tab_id_summary",
     "tab_gossip_interval",
     "tab_memory",
     "tab_baseline_compare",
@@ -311,14 +310,6 @@ fn main() {
                     ]
                 })
                 .collect(),
-        ));
-    }
-    if want("tab_id_summary") {
-        let a4 = ex::tab_id_summary(pick(200, 50));
-        series.push((
-            "tab_id_summary",
-            vec!["plain_bytes", "summary_bytes"],
-            vec![vec![n(a4.0 as f64), n(a4.1 as f64)]],
         ));
     }
     if want("tab_gossip_interval") {

@@ -2,7 +2,7 @@
 //! and `run_all`. Every function prints a paper-style table and returns
 //! the raw series for tests.
 
-use esds_alg::{GossipStrategy, RelayPolicy, ReplicaConfig, SafeSubmitter};
+use esds_alg::{RelayPolicy, ReplicaConfig, SafeSubmitter};
 use esds_core::{ClientId, SerialDataType};
 use esds_datatypes::{Counter, GSet, KvStore};
 use esds_harness::{
@@ -1064,29 +1064,18 @@ fn gossip_strategy_run(
 
 /// A3 — §10.4 gossip strategies: messages, bytes, and throughput per
 /// operation, swept across gossip intervals. The headline comparison is
-/// Full vs Incremental vs Batched (4 ticks per exchange): Full re-ships
-/// the whole `(R, D, L, S)` history every tick, Incremental ships deltas
-/// every tick, Batched ships deltas plus summary watermarks every 4th
-/// tick — O(delta) bytes *and* 1/4 the messages at steady state. The GC
-/// and broadcast variants are included at each interval for continuity
-/// with the paper's ablation. Returns one [`GossipStrategyPoint`] per
-/// (strategy, interval) cell.
+/// Full vs Batched (4 ticks per exchange): Full re-ships the whole
+/// `(R, D, L, S)` history every tick, Batched ships deltas plus summary
+/// watermarks every 4th tick — O(delta) bytes *and* 1/4 the messages at
+/// steady state. The broadcast variant is included at each interval for
+/// continuity with the paper's ablation. Returns one
+/// [`GossipStrategyPoint`] per (strategy, interval) cell.
 pub fn tab_gossip_strategies(ops: usize) -> Vec<GossipStrategyPoint> {
-    let strategies: [(&'static str, ReplicaConfig, bool); 5] = [
+    let strategies: [(&'static str, ReplicaConfig, bool); 3] = [
         ("full snapshot (paper §6)", ReplicaConfig::default(), false),
-        (
-            "incremental (§10.4, FIFO channels)",
-            ReplicaConfig::default().with_gossip(GossipStrategy::Incremental),
-            false,
-        ),
         (
             "batched ×4 (§10.2+§10.4, FIFO channels)",
             ReplicaConfig::default().with_batched(4),
-            false,
-        ),
-        (
-            "full + GC (§10.2)",
-            ReplicaConfig::default().with_gc(),
             false,
         ),
         ("broadcast (§10.4)", ReplicaConfig::default(), true),
@@ -1158,114 +1147,6 @@ pub fn tab_gossip_interval(ops_per_client: usize) -> Vec<(u64, f64, f64)> {
         &rows,
     );
     out
-}
-
-/// A4 — §10.2 identifier summarization: gossip sizes with `D` and `S` as
-/// flat id lists (the abstract algorithm) vs as `IdSummary` watermark
-/// vectors (the multipart-timestamp-style optimization), measured on live
-/// gossip streams with both the sizing model and the real wire encoding.
-/// Returns `(plain_wire_bytes, summarized_wire_bytes)` totals.
-pub fn tab_id_summary(ops_per_client: usize) -> (u64, u64) {
-    use bytes::BytesMut;
-    use esds_alg::Replica;
-    use esds_core::{ClientId, OpDescriptor, OpId, ReplicaId};
-    use esds_datatypes::{CounterOp, CounterValue};
-    use esds_wire::{encode_message, SummarizedGossip, WireMessage};
-
-    // GC'd gossip (§10.2): descriptors and labels of stable operations are
-    // pruned, but stability votes (`S`) must keep flowing — id sets then
-    // dominate message bytes, which is exactly the case summarization
-    // targets.
-    const N: usize = 3;
-    let mut reps: Vec<Replica<Counter>> = (0..N)
-        .map(|i| {
-            Replica::new(
-                Counter,
-                ReplicaId(i as u32),
-                N,
-                ReplicaConfig::default().with_gc(),
-            )
-        })
-        .collect();
-
-    let mut plain_model = 0u64;
-    let mut summary_model = 0u64;
-    let mut plain_wire = 0u64;
-    let mut summary_wire = 0u64;
-    let mut msgs = 0u64;
-
-    let mut gossip_round = |reps: &mut Vec<Replica<Counter>>| {
-        for from in 0..N {
-            for to in 0..N {
-                if from == to {
-                    continue;
-                }
-                let g = reps[from].make_gossip(ReplicaId(to as u32));
-                msgs += 1;
-                plain_model += g.approx_bytes() as u64;
-                let s = SummarizedGossip::from_gossip(&g);
-                summary_model += s.approx_bytes() as u64;
-                let mut buf = BytesMut::new();
-                encode_message::<CounterOp, CounterValue>(
-                    &WireMessage::Gossip(g.clone()),
-                    &mut buf,
-                );
-                plain_wire += buf.len() as u64;
-                buf.clear();
-                encode_message::<CounterOp, CounterValue>(&WireMessage::GossipSummary(s), &mut buf);
-                summary_wire += buf.len() as u64;
-                reps[to].on_gossip(g);
-            }
-        }
-    };
-
-    // Three clients, dense per-client sequence numbers (the common case
-    // the watermark representation is built for); gossip every 5 ops.
-    for seq in 0..ops_per_client as u64 {
-        for c in 0..3u32 {
-            let id = OpId::new(ClientId(c), seq);
-            let desc = OpDescriptor::new(id, CounterOp::Increment(1));
-            reps[c as usize % N].on_request(desc);
-        }
-        if seq % 5 == 4 {
-            gossip_round(&mut reps);
-        }
-    }
-    // Rounds to reach stability everywhere.
-    for _ in 0..3 {
-        gossip_round(&mut reps);
-    }
-
-    print_table(
-        "A4 — §10.2 id summarization: gossip bytes, flat id lists vs watermark summaries",
-        &[
-            "encoding",
-            "total gossip bytes (model)",
-            "total gossip bytes (wire)",
-            "bytes/message (wire)",
-        ],
-        &[
-            vec![
-                "flat id lists (abstract algorithm)".into(),
-                format!("{plain_model}"),
-                format!("{plain_wire}"),
-                format!("{:.0}", plain_wire as f64 / msgs as f64),
-            ],
-            vec![
-                "IdSummary watermarks (§10.2)".into(),
-                format!("{summary_model}"),
-                format!("{summary_wire}"),
-                format!("{:.0}", summary_wire as f64 / msgs as f64),
-            ],
-            vec![
-                "reduction".into(),
-                format!("{:.1}×", plain_model as f64 / summary_model.max(1) as f64),
-                format!("{:.1}×", plain_wire as f64 / summary_wire.max(1) as f64),
-                String::new(),
-            ],
-        ],
-    );
-    (plain_wire, summary_wire)
 }
 
 /// A6 — §10.2 local compaction: descriptors retained per replica over a
@@ -1481,18 +1362,6 @@ mod tests {
         assert!(
             gc * 4 < no_gc,
             "compaction must bound retention: {gc} vs {no_gc}"
-        );
-    }
-
-    #[test]
-    fn id_summaries_shrink_gossip() {
-        // The reduction grows with history length (watermarks are O(#clients),
-        // id lists O(#ops)); even this miniature must show a clear win, and
-        // the full-size binary (200 ops/client) shows ~4×.
-        let (plain, summarized) = tab_id_summary(40);
-        assert!(
-            summarized * 3 < plain * 2,
-            "summaries must cut gossip bytes by ≥1.5×: {summarized} vs {plain}"
         );
     }
 }

@@ -1,10 +1,10 @@
 //! # esds-bench
 //!
 //! Experiment support for regenerating every table and figure of the ESDS
-//! paper (see `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md`
-//! for recorded results). Each experiment is a binary in `src/bin/`:
+//! paper. Each experiment is a function of [`experiments`], run by name
+//! through the one `run_all` binary (`run_all --only <name>`):
 //!
-//! | binary | reproduces |
+//! | experiment | reproduces |
 //! |---|---|
 //! | `fig_scalability`     | §11.1 throughput-vs-replicas figure (F1) |
 //! | `fig_strict_latency`  | §11.1 latency-vs-strict% figure (F2) |
@@ -16,7 +16,6 @@
 //! | `tab_memoization`     | §10.1 memoization ablation (A1) |
 //! | `tab_commute`         | §10.3 commutativity ablation (A2) |
 //! | `tab_gossip_strategies` | §10.4 communication ablation (A3) |
-//! | `tab_id_summary`      | §10.2 identifier summarization (A4) |
 //! | `tab_gossip_interval` | Theorem 9.3 g-sensitivity (A5) |
 //! | `tab_memory`          | §10.2 local compaction (A6) |
 //! | `tab_baseline_compare`  | consistency/performance trade-off (B1) |

@@ -72,9 +72,9 @@ impl<O> OpDescriptor<O> {
     }
 
     /// Approximate encoded size in bytes, the shared estimate of every
-    /// gossip sizing model (`GossipMsg`/`BatchedGossipMsg`/
-    /// `SummarizedGossip::approx_bytes`): id (16) + a small operator
-    /// estimate (8) + prev entries (16 each) + strict/overhead (16).
+    /// gossip sizing model (`GossipMsg`/`BatchedGossipMsg::approx_bytes`):
+    /// id (16) + a small operator estimate (8) + prev entries (16 each) +
+    /// strict/overhead (16).
     /// Keeping one copy keeps the §10.4 byte comparisons honest — tuning
     /// the estimate skews every strategy's column together.
     pub fn approx_bytes(&self) -> usize {

@@ -594,7 +594,7 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
                     );
                     self.replicas[i] = Slot::Alive(Box::new(rep));
                     self.busy[i] = queue.now();
-                    // Peers restart their incremental watermarks: the next
+                    // Peers rewind their batched delta state: the next
                     // gossip to the recovered replica is full ("requesting
                     // new gossip", §9.3).
                     for j in 0..self.config.n_replicas {
@@ -714,12 +714,12 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                     return;
                 }
                 // Isolated endpoints produce/receive nothing. Skipping
-                // *before* constructing the message matters for the delta
-                // strategies: make_gossip/poll_gossip irreversibly record
-                // what was shipped (incremental watermarks, batched
-                // handshake state), so building a message the fault model
-                // then drops would lose those deltas forever (Reconnect,
-                // unlike Recover, does not reset peers' watermarks).
+                // *before* constructing the message matters for batched
+                // gossip: poll_gossip irreversibly records what was
+                // shipped (handshake and sent-label state), so building a
+                // message the fault model then drops would lose those
+                // deltas forever (Reconnect, unlike Recover, does not
+                // reset peers' watermarks).
                 if self.isolated[from.0 as usize] {
                     return;
                 }
@@ -805,36 +805,32 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// # Panics
     ///
     /// Panics if the configuration is internally inconsistent (zero
-    /// replicas; broadcast combined with incremental gossip).
+    /// replicas; batched gossip combined with broadcast, lossy or
+    /// reordering replica channels).
     pub fn new(dt: T, config: SystemConfig) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
-        assert!(
-            !(config.broadcast_gossip
-                && config.replica.gossip != esds_alg::GossipStrategy::Full),
-            "broadcast gossip sends one message to all peers; per-peer incremental/batched state cannot apply"
-        );
-        assert!(
-            !(config.rr_channel.loss_prob > 0.0
-                && config.replica.gossip != esds_alg::GossipStrategy::Full),
-            "delta gossip (incremental/batched) assumes reliable replica channels: a dropped \
-             message loses its deltas forever (the simulator, unlike the TCP transport, has no \
-             send-failure signal to trigger reset_watermark); use GossipStrategy::Full with lossy \
-             rr channels"
-        );
-        if config.replica.gossip == esds_alg::GossipStrategy::Batched {
+        if let esds_alg::GossipStrategy::Batched { every } = config.replica.gossip {
+            assert!(
+                !config.broadcast_gossip,
+                "broadcast gossip sends one message to all peers; per-peer batched state cannot apply"
+            );
+            assert!(
+                config.rr_channel.loss_prob <= 0.0,
+                "delta gossip (batched) assumes reliable replica channels: a dropped message \
+                 loses its deltas forever (the simulator, unlike the TCP transport, has no \
+                 send-failure signal to trigger reset_watermark); use GossipStrategy::Full with \
+                 lossy rr channels"
+            );
             // Batched exchanges additionally need *in-order* delivery:
             // each batch carries a complete done/stable summary while the
             // matching labels ship only once, so a later batch overtaking
             // an earlier one can mark an op done before its label arrives
             // (Invariant 7.5). Successive batches to one peer are
-            // batch_interval·g apart, so delivery is order-preserving iff
-            // the channel's delay spread is within that gap. (Incremental
-            // is not gated: its done/stable ids travel in the same
-            // message as their labels.)
+            // every·g apart, so delivery is order-preserving iff the
+            // channel's delay spread is within that gap.
             let delay = config.rr_channel.delay;
             let spread = delay.upper_bound().as_micros() - delay.lower_bound().as_micros();
-            let gap = config.gossip_interval.as_micros()
-                * u64::from(config.replica.batch_interval.max(1));
+            let gap = config.gossip_interval.as_micros() * u64::from(every.max(1));
             assert!(
                 spread <= gap,
                 "batched gossip needs FIFO replica channels: rr delay spread {spread}µs exceeds \
@@ -1024,8 +1020,8 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// (e.g. by `esds_store::DurableStore::open` over the surviving
     /// image), installing its backend alongside. The replica re-enters
     /// through the §9.3 gate — passive until it has gossiped with every
-    /// peer — and peers restart their incremental watermarks toward it,
-    /// like [`FaultEvent::Recover`].
+    /// peer — and peers rewind their batched delta state toward it, like
+    /// [`FaultEvent::Recover`].
     ///
     /// # Panics
     ///

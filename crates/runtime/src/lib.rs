@@ -3,8 +3,8 @@
 //! A real multithreaded deployment of the ESDS algorithm: one OS thread
 //! per replica (driving the same sans-IO [`esds_alg::Replica`] state
 //! machine as the simulator) plus a network thread that injects
-//! propagation delay. See `DESIGN.md` §2 for how this substitutes for the
-//! paper's MPI/workstation testbed.
+//! propagation delay, substituting for the paper's MPI/workstation
+//! testbed (see `ARCHITECTURE.md` §2).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //!
 //! A small, deterministic discrete-event simulation kernel used as the
 //! network substrate for the ESDS algorithm (replacing the paper's
-//! workstation network / MPI testbed — see `DESIGN.md` §2):
+//! workstation network / MPI testbed):
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time;
 //! * [`EventQueue`], [`World`], [`run`] — the event loop;

@@ -68,17 +68,16 @@ impl ChaosConfig {
 
     /// Adds adjacent reordering on top of an existing fault model.
     ///
-    /// Reordering is safe for requests, responses, and the *snapshot*
-    /// gossip encodings (their merges are commutative and monotone), but
-    /// it violates the channel assumption of the **delta** gossip
-    /// strategies (§10.4 incremental/batched): those ship only what is
-    /// new since the last exchange, relying on the in-order delivery TCP
-    /// provides, so a stability summary overtaking the batch that
-    /// carried its labels breaks Invariant 7.5's bookkeeping. Do not put
-    /// a reordering proxy on delta-gossip links — the same rule as "a
-    /// dropped delta connection must rewind the watermark"
-    /// (`Replica::reset_watermark`), where reordering within a live
-    /// connection has no rewind trigger.
+    /// Reordering is safe for requests, responses, and *snapshot*
+    /// gossip (its merges are commutative and monotone), but it violates
+    /// the channel assumption of **batched** delta gossip (§10.4): that
+    /// ships only what is new since the last exchange, relying on the
+    /// in-order delivery TCP provides, so a stability summary overtaking
+    /// the batch that carried its labels breaks Invariant 7.5's
+    /// bookkeeping. Do not put a reordering proxy on batched-gossip
+    /// links — the same rule as "a dropped delta connection must rewind
+    /// the watermark" (`Replica::reset_watermark`), where reordering
+    /// within a live connection has no rewind trigger.
     #[must_use]
     pub fn with_reordering(mut self, p: f64) -> Self {
         self.reorder_probability = p;

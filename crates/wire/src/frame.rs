@@ -41,8 +41,10 @@ pub enum FrameKind {
     Response = 2,
     /// A `⟨"gossip", R, D, L, S⟩` message (replica → replica).
     Gossip = 3,
-    /// A §10.2 summarized gossip message.
-    GossipSummary = 4,
+    // Tag 4 was `GossipSummary` (a snapshot with `D`/`S` as id summaries),
+    // which `GossipBatched` replaced. It stays unassigned: a peer still
+    // speaking it must be refused, not have its payload parsed as
+    // something else.
     /// Connection preamble naming the sender (client or replica).
     Hello = 5,
     /// A §10.4 batched gossip exchange (deltas + summary watermarks).
@@ -70,11 +72,10 @@ impl FrameKind {
     /// Every frame kind the protocol defines, in tag order. Exhaustive by
     /// construction — the round-trip tests iterate this so a new variant
     /// cannot be added without entering the coverage.
-    pub const ALL: [FrameKind; 12] = [
+    pub const ALL: [FrameKind; 11] = [
         FrameKind::Request,
         FrameKind::Response,
         FrameKind::Gossip,
-        FrameKind::GossipSummary,
         FrameKind::Hello,
         FrameKind::GossipBatched,
         FrameKind::ShardedRequest,
@@ -95,7 +96,6 @@ impl FrameKind {
             1 => Ok(FrameKind::Request),
             2 => Ok(FrameKind::Response),
             3 => Ok(FrameKind::Gossip),
-            4 => Ok(FrameKind::GossipSummary),
             5 => Ok(FrameKind::Hello),
             6 => Ok(FrameKind::GossipBatched),
             7 => Ok(FrameKind::ShardedRequest),
@@ -362,6 +362,29 @@ mod tests {
         for t in 0..=255u8 {
             assert_eq!(FrameKind::from_u8(t).is_ok(), tags.contains(&t), "tag {t}");
         }
+    }
+
+    #[test]
+    fn retired_tag_4_is_refused() {
+        assert_eq!(
+            FrameKind::from_u8(4),
+            Err(WireError::InvalidTag {
+                context: "FrameKind",
+                tag: 4
+            })
+        );
+        // A well-formed, correctly checksummed frame of kind 4 is an error
+        // at both decoders (transports then drop the connection), never a
+        // panic and never a payload handed to `decode_message`.
+        let mut buf = BytesMut::new();
+        encode_frame(FrameKind::Gossip, b"payload", &mut buf);
+        buf[3] = 4;
+        let err = read_frame(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(matches!(
+            decode_frame(&mut buf),
+            Err(WireError::InvalidTag { tag: 4, .. })
+        ));
     }
 
     #[test]

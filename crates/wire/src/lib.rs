@@ -14,8 +14,9 @@
 //! * [`frame`] — length-prefixed frames with magic, version, kind and an
 //!   FNV-1a checksum, plus blocking reader/writer adapters;
 //! * [`message`] — the request/response/gossip message set as framed
-//!   payloads, including the §10.2 *summarized* gossip encoding that
-//!   carries `D` and `S` as [`esds_core::IdSummary`] watermark vectors;
+//!   payloads, including the §10.2 + §10.4 *batched* gossip exchange
+//!   that carries `D` and `S` as [`esds_core::IdSummary`] watermark
+//!   vectors;
 //! * [`tcp`] — a socket deployment: [`tcp::TcpReplicaNode`] replica
 //!   servers gossiping over TCP, [`tcp::TcpClient`] front ends, and
 //!   [`tcp::TcpCluster`] for launching a localhost cluster (with
@@ -56,7 +57,7 @@ pub use error::WireError;
 pub use frame::{read_frame, write_frame, Frame, FrameKind, MAX_FRAME_LEN};
 pub use message::{
     decode_message, encode_message, ShardedRequestMsg, ShardedResponseMsg, StabilityInfoMsg,
-    SummarizedGossip, WireMessage,
+    WireMessage,
 };
 pub use sharded::{
     ChaosStats, ShardedWireClient, ShardedWireConfig, ShardedWireService, WholeObjectUnsupported,

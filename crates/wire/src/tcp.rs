@@ -46,8 +46,7 @@ pub type AddrTable = Arc<Mutex<Vec<SocketAddr>>>;
 use crate::codec::Wire;
 use crate::frame::decode_frame;
 use crate::message::{
-    decode_message, encode_message, HelloId, ShardedResponseMsg, StabilityInfoMsg,
-    SummarizedGossip, WireMessage,
+    decode_message, encode_message, HelloId, ShardedResponseMsg, StabilityInfoMsg, WireMessage,
 };
 
 /// Read-poll granularity: how often blocked readers check for shutdown.
@@ -60,8 +59,6 @@ pub struct TcpClusterConfig {
     pub n_replicas: usize,
     /// Gossip tick interval per node.
     pub gossip_interval: Duration,
-    /// Encode gossip with §10.2 id summaries ([`SummarizedGossip`]).
-    pub summarized_gossip: bool,
     /// Replica state-machine configuration.
     pub replica: ReplicaConfig,
     /// Observability plumbing (registry, prefix, tracer). Defaults to
@@ -70,22 +67,15 @@ pub struct TcpClusterConfig {
 }
 
 impl TcpClusterConfig {
-    /// Defaults: 5 ms gossip, plain gossip encoding, metrics disabled.
+    /// Defaults: 5 ms gossip, the default [`ReplicaConfig`], metrics
+    /// disabled.
     pub fn new(n_replicas: usize) -> Self {
         TcpClusterConfig {
             n_replicas,
             gossip_interval: Duration::from_millis(5),
-            summarized_gossip: false,
             replica: ReplicaConfig::default(),
             obs: NodeObs::default(),
         }
-    }
-
-    /// Enables the summarized gossip encoding.
-    #[must_use]
-    pub fn with_summarized_gossip(mut self) -> Self {
-        self.summarized_gossip = true;
-        self
     }
 
     /// Installs a metrics registry (and optionally a tracer) for every
@@ -485,14 +475,6 @@ fn read_connection<T>(
                                 break 'conn;
                             }
                         }
-                        WireMessage::GossipSummary(s) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Snapshot(s.into_gossip())))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
-                        }
                         WireMessage::GossipBatched(b) => {
                             if input_tx
                                 .send(NodeInput::Gossip(GossipEnvelope::Batched(b)))
@@ -639,8 +621,19 @@ where
                         if pid == id {
                             continue;
                         }
-                        // poll_gossip paces batched strategies: a tick
-                        // that is still accumulating sends nothing.
+                        // Dial before building: a new connection may
+                        // lead to a restarted, memory-less peer (or
+                        // follow frames lost with the old one), so the
+                        // delta state rewinds first and this very
+                        // envelope re-ships everything.
+                        let peer_addr = addrs.lock()[p];
+                        match connect_to_peer(peer, peer_addr, id) {
+                            Some(true) => rep.reset_watermark(pid),
+                            Some(false) => {}
+                            None => continue,
+                        }
+                        // poll_gossip paces batched gossip: a tick that
+                        // is still accumulating sends nothing.
                         let Some(env) = rep.poll_gossip(pid) else {
                             continue;
                         };
@@ -652,31 +645,22 @@ where
                             }
                         }
                         out.clear();
-                        match env {
-                            GossipEnvelope::Batched(b) => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::GossipBatched(b);
-                                encode_message(&msg, &mut out);
-                            }
-                            GossipEnvelope::Snapshot(g) if config.summarized_gossip => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::GossipSummary(SummarizedGossip::from_gossip(&g));
-                                encode_message(&msg, &mut out);
-                            }
-                            GossipEnvelope::Snapshot(g) => {
-                                let msg: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::Gossip(g);
-                                encode_message(&msg, &mut out);
-                            }
-                        }
-                        let peer_addr = addrs.lock()[p];
-                        if send_to_peer(peer, peer_addr, id, &out) {
+                        let msg: WireMessage<T::Operator, T::Value> = match env {
+                            GossipEnvelope::Batched(b) => WireMessage::GossipBatched(b),
+                            GossipEnvelope::Snapshot(g) => WireMessage::Gossip(g),
+                        };
+                        encode_message(&msg, &mut out);
+                        let sent = peer
+                            .as_mut()
+                            .is_some_and(|(_, s)| s.write_all(&out).is_ok());
+                        if sent {
                             m_peers[p].0.inc();
                             m_peers[p].1.add(out.len() as u64);
                         } else {
-                            // Connection failed: the §10.4 delta state
-                            // (incremental watermark / batched handshake)
-                            // must rewind so nothing is lost.
+                            // The write failed: what this envelope carried
+                            // is lost, so the delta state rewinds, and the
+                            // cleared slot re-dials at the next tick.
+                            *peer = None;
                             rep.reset_watermark(pid);
                         }
                     }
@@ -782,40 +766,27 @@ where
         .expect("spawn core")
 }
 
-/// Ensures a live outbound connection to a peer and writes `frame_bytes`.
-/// Returns false if the peer was unreachable or the write failed (the
-/// connection slot is cleared for a retry at the next tick). A slot dialed
-/// to a stale address (the peer restarted elsewhere) is re-dialed.
-fn send_to_peer(
+/// Ensures `slot` holds a live outbound connection to the peer at `addr`,
+/// dialing (and introducing `me`) when it is empty or was dialed to an
+/// address the table no longer names — the peer restarted elsewhere.
+/// Returns whether the connection is new, or `None` if the peer is
+/// unreachable (the slot stays empty for a retry at the next tick).
+fn connect_to_peer(
     slot: &mut Option<(SocketAddr, TcpStream)>,
     addr: SocketAddr,
     me: ReplicaId,
-    frame_bytes: &[u8],
-) -> bool {
-    if slot.as_ref().is_some_and(|(dialed, _)| *dialed != addr) {
-        *slot = None;
-    }
-    if slot.is_none() {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
-            Ok(mut s) => {
-                let _ = s.set_nodelay(true);
-                let mut hello = BytesMut::new();
-                encode_message::<NoOp, NoOp>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
-                if s.write_all(&hello).is_err() {
-                    return false;
-                }
-                *slot = Some((addr, s));
-            }
-            Err(_) => return false,
-        }
-    }
-    if let Some((_, s)) = slot {
-        if s.write_all(frame_bytes).is_ok() {
-            return true;
-        }
+) -> Option<bool> {
+    if slot.as_ref().is_some_and(|(dialed, _)| *dialed == addr) {
+        return Some(false);
     }
     *slot = None;
-    false
+    let mut s = TcpStream::connect_timeout(&addr, Duration::from_millis(200)).ok()?;
+    let _ = s.set_nodelay(true);
+    let mut hello = BytesMut::new();
+    encode_message::<NoOp, NoOp>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
+    s.write_all(&hello).ok()?;
+    *slot = Some((addr, s));
+    Some(true)
 }
 
 /// Placeholder operator/value type for frames that carry neither (Hello).
@@ -1204,11 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_roundtrip_summarized_gossip() {
-        exercise(TcpClusterConfig::new(3).with_summarized_gossip());
-    }
-
-    #[test]
     fn cluster_roundtrip_batched_gossip() {
         // The §10.4 batched wire contract over real sockets: every second
         // gossip tick one GossipBatched frame per peer, strict ops still
@@ -1300,6 +1266,48 @@ mod tests {
         assert_eq!(reps.len(), 3);
         let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
         assert!(states.iter().all(|s| *s == 10), "diverged: {states:?}");
+    }
+
+    #[test]
+    fn quick_restart_under_batched_gossip_rewinds_peer_delta_state() {
+        // A crash followed at once by a restart gives the survivors no
+        // failed write to notice: their connection slot is simply dialed
+        // to an address the table no longer names. The delta state toward
+        // the memory-less replica must rewind on that re-dial, or the next
+        // batch carries full done/stable summaries with no labels (label
+        // GC retired them) and the recovered replica cannot place the ops.
+        let mut config = TcpClusterConfig::new(3);
+        config.replica = ReplicaConfig::default().with_batched(1);
+        let mut cluster = TcpCluster::launch(Counter, config);
+        let mut c = cluster.client(); // relay = replica 0
+
+        let mut ids = Vec::new();
+        for _ in 0..5 {
+            ids.push(c.submit(CounterOp::Increment(1), &[], false));
+        }
+        // Stable everywhere: shipped, acknowledged, due for label GC.
+        let fence = c.submit(CounterOp::Read, &ids, true);
+        assert_eq!(
+            c.await_response(fence, Duration::from_secs(30)),
+            Some(CounterValue::Count(5)),
+        );
+
+        let stub = cluster.crash(ReplicaId(2));
+        cluster.restart(stub);
+
+        for _ in 0..3 {
+            ids.push(c.submit(CounterOp::Increment(1), &[], false));
+        }
+        let audit = c.submit(CounterOp::Read, &ids, true);
+        assert_eq!(
+            c.await_response(audit, Duration::from_secs(30)),
+            Some(CounterValue::Count(8)),
+        );
+
+        let reps = cluster.shutdown();
+        assert_eq!(reps.len(), 3);
+        let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
+        assert!(states.iter().all(|s| *s == 8), "diverged: {states:?}");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! The replicas here run the *same* state machines as the simulator and
 //! the threaded runtime; only the transport differs. The example runs a
 //! small directory-service workload (the paper's §11.2 application) over
-//! three replica processes' worth of sockets, once with plain gossip and
-//! once with the §10.2 summarized-gossip encoding.
+//! three replica processes' worth of sockets.
 //!
 //! Run with `cargo run --example tcp_cluster`.
 
@@ -17,21 +16,8 @@ use esds::datatypes::{Directory, DirectoryOp, DirectoryValue};
 use esds::wire::{TcpCluster, TcpClusterConfig};
 
 fn main() {
-    for summarized in [false, true] {
-        let mut config = TcpClusterConfig::new(3);
-        if summarized {
-            config = config.with_summarized_gossip();
-        }
-        println!(
-            "--- launching 3-replica TCP cluster ({} gossip) ---",
-            if summarized { "summarized" } else { "plain" }
-        );
-        run_directory_workload(config);
-    }
-}
-
-fn run_directory_workload(config: TcpClusterConfig) {
-    let mut cluster = TcpCluster::launch(Directory, config);
+    println!("--- launching 3-replica TCP cluster ---");
+    let mut cluster = TcpCluster::launch(Directory, TcpClusterConfig::new(3));
     println!(
         "replicas listening on {:?}",
         cluster.addrs().iter().map(|a| a.port()).collect::<Vec<_>>()

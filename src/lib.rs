@@ -8,7 +8,8 @@
 //! that regenerates the paper's evaluation.
 //!
 //! This facade crate re-exports the workspace crates under stable module
-//! names. See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! names. See `README.md` for a tour and `ARCHITECTURE.md` for the system
+//! inventory.
 //!
 //! ## Quickstart
 //!

@@ -6,7 +6,7 @@
 use esds::datatypes::{Counter, CounterOp, GSet, GSetOp};
 use esds::harness::{SimSystem, SystemConfig};
 use esds::spec::check_converged;
-use esds_alg::{GossipStrategy, ReplicaConfig, SafeSubmitter};
+use esds_alg::{ReplicaConfig, SafeSubmitter};
 use esds_core::OpId;
 use esds_sim::SimDuration;
 use rand::rngs::SmallRng;
@@ -71,17 +71,14 @@ fn memoization_is_transparent_and_cheaper() {
 }
 
 #[test]
-fn incremental_gossip_matches_full_and_sends_less() {
-    // Fixed-delay channels are FIFO, the §10.4 requirement for incremental
+fn batched_gossip_matches_full_and_sends_less() {
+    // Fixed-delay channels are FIFO, the §10.4 requirement for batched
     // gossip.
-    for seed in [2, 9] {
+    for seed in [2, 5, 9, 12] {
         let (r_full, s_full, _) = run_counter(ReplicaConfig::default(), seed);
-        let (r_inc, s_inc, _) = run_counter(
-            ReplicaConfig::default().with_gossip(GossipStrategy::Incremental),
-            seed,
-        );
-        assert_eq!(r_full, r_inc, "seed {seed}: incremental changed responses");
-        assert_eq!(s_full, s_inc);
+        let (r_bat, s_bat, _) = run_counter(ReplicaConfig::default().with_batched(1), seed);
+        assert_eq!(r_full, r_bat, "seed {seed}: batching changed responses");
+        assert_eq!(s_full, s_bat);
     }
     // Byte accounting (same workload, both to convergence).
     let bytes = |replica: ReplicaConfig| -> u64 {
@@ -96,21 +93,11 @@ fn incremental_gossip_matches_full_and_sends_less() {
         sys.gossip_traffic().1
     };
     let full = bytes(ReplicaConfig::default());
-    let inc = bytes(ReplicaConfig::default().with_gossip(GossipStrategy::Incremental));
+    let batched = bytes(ReplicaConfig::default().with_batched(1));
     assert!(
-        inc * 2 < full,
-        "incremental should cut gossip bytes at least in half: {inc} vs {full}"
+        batched * 2 < full,
+        "batched should cut gossip bytes at least in half: {batched} vs {full}"
     );
-}
-
-#[test]
-fn gc_gossip_matches_full_and_sends_less() {
-    for seed in [5, 12] {
-        let (r_full, s_full, _) = run_counter(ReplicaConfig::default(), seed);
-        let (r_gc, s_gc, _) = run_counter(ReplicaConfig::default().with_gc(), seed);
-        assert_eq!(r_full, r_gc, "seed {seed}: GC changed responses");
-        assert_eq!(s_full, s_gc);
-    }
 }
 
 #[test]

@@ -6,6 +6,7 @@ use std::time::Duration;
 use esds::core::OpId;
 use esds::datatypes::{Bank, BankOp, BankValue, Queue, QueueOp, QueueValue};
 use esds::wire::{TcpCluster, TcpClusterConfig};
+use esds_alg::ReplicaConfig;
 
 #[test]
 fn bank_strict_withdrawals_over_sockets() {
@@ -46,8 +47,10 @@ fn bank_strict_withdrawals_over_sockets() {
 }
 
 #[test]
-fn queue_prev_chain_over_sockets_with_summarized_gossip() {
-    let mut cluster = TcpCluster::launch(Queue, TcpClusterConfig::new(2).with_summarized_gossip());
+fn queue_prev_chain_over_sockets_with_batched_gossip() {
+    let mut config = TcpClusterConfig::new(2);
+    config.replica = ReplicaConfig::default().with_batched(2);
+    let mut cluster = TcpCluster::launch(Queue, config);
     let mut producer = cluster.client();
     let mut consumer = cluster.client();
 
