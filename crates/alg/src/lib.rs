@@ -15,7 +15,10 @@
 //! * [`global`] — the derived whole-system variables of §6.4 (`ops`,
 //!   `minlabel`, `lc`, `mc`, `sc`, `po`);
 //! * [`invariants`] — Invariants 7.1–7.21, 8.1/8.3, and 10.1–10.5 as
-//!   executable checks over a [`SystemView`].
+//!   executable checks over a [`SystemView`];
+//! * [`Node`] — a replica plus its optional [`Persistence`] backend: the
+//!   one place that enforces sync-before-release and rewinds peer links,
+//!   driven by the simulator, the threaded runtime and the TCP node alike.
 //!
 //! The state machines are deterministic; all scheduling (gossip timing,
 //! channel behaviour) lives in the harness/runtime driving them.
@@ -28,6 +31,7 @@ pub mod front_end;
 pub mod global;
 pub mod invariants;
 pub mod messages;
+pub mod node;
 pub mod persist;
 pub mod replica;
 
@@ -36,6 +40,7 @@ pub use front_end::{ClientDelivery, FrontEnd, RelayPolicy};
 pub use global::SystemView;
 pub use invariants::{check_all, InvariantViolation, MonotonicityChecker};
 pub use messages::{BatchedGossipMsg, GossipEnvelope, GossipMsg, RequestMsg, ResponseMsg};
+pub use node::{Dead, Link, Node, Outbox};
 pub use persist::Persistence;
 pub use replica::{
     GossipStrategy, PrefixEntry, RecoveryStub, Replica, ReplicaConfig, ReplicaStats, RespondEffect,

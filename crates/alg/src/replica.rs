@@ -82,8 +82,9 @@ pub enum GossipStrategy {
     /// [`IdSummary::difference`]), and piggyback stable-prefix
     /// acknowledgements on the `stable` summary. Steady-state cost is
     /// O(delta + #clients) per exchange instead of O(history). The
-    /// `R`/`L` deltas assume reliable in-order channels; on a send
-    /// failure call [`Replica::reset_watermark`] to rewind. Driven through
+    /// `R`/`L` deltas assume reliable in-order channels; a lost send or a
+    /// new link rewinds them ([`Replica::reset_watermark`], which
+    /// [`crate::Node`] calls). Driven through
     /// [`Replica::poll_gossip`]; [`Replica::make_gossip`] falls back to a
     /// full snapshot (the always-safe resync message).
     Batched {
@@ -123,11 +124,11 @@ pub struct ReplicaConfig {
     /// answered operation (used by the `esds-spec` checkers; costs memory).
     pub record_witness: bool,
     /// Track a per-handler [`WalDelta`] (ids admitted to `rcvd`, label
-    /// minima that changed) for a write-ahead log. Drivers drain it with
-    /// [`Replica::take_wal_delta`] after every mutating input and hand it
-    /// to a [`crate::Persistence`] backend *before* releasing the
-    /// handler's effects — the sync-before-release discipline that makes
-    /// §9.3 recovery from the log sound.
+    /// minima that changed) for a write-ahead log. A [`crate::Node`]
+    /// has its [`crate::Persistence`] backend drain it after every
+    /// mutating input, *before* releasing the handler's effects — the
+    /// sync-before-release discipline that makes §9.3 recovery from the
+    /// log sound.
     pub durable: bool,
 }
 
@@ -252,9 +253,10 @@ pub struct RestoreImage<T: SerialDataType> {
     /// suffix); they are re-admitted and re-done with their pre-crash
     /// labels once recovery closes.
     pub suffix_rcvd: Vec<OpDescriptor<T::Operator>>,
-    /// Logged label minima of suffix operations; they seed
-    /// `persisted_labels` so the recovered replica neither re-mints nor
-    /// contradicts a label it already released (§9.3).
+    /// Logged label minima of suffix operations, whichever replica minted
+    /// them; they seed `persisted_labels` so the recovered replica neither
+    /// re-mints nor contradicts a label it already released (§9.3), and
+    /// they floor its label generator.
     pub suffix_labels: Vec<(OpId, Label)>,
 }
 
@@ -491,13 +493,7 @@ impl<T: SerialDataType> Replica<T> {
     /// no gossip content — until it has received gossip from every peer.
     pub fn recover(dt: T, stub: RecoveryStub, n: usize, config: ReplicaConfig) -> Self {
         let mut r = Replica::new(dt, stub.id, n, config);
-        r.gen = LabelGenerator::from_counter(stub.id, stub.next_counter);
-        r.persisted_labels = stub.local_min_labels.into_iter().collect();
-        let peers: BTreeSet<ReplicaId> = (0..n as u32)
-            .map(ReplicaId)
-            .filter(|p| *p != stub.id)
-            .collect();
-        r.recovering = if peers.is_empty() { None } else { Some(peers) };
+        r.rejoin(stub.next_counter, stub.local_min_labels);
         r
     }
 
@@ -510,7 +506,8 @@ impl<T: SerialDataType> Replica<T> {
     /// exactly the post-[`Replica::compact`] shape, which every code path
     /// already tolerates). Suffix descriptors are re-admitted, and suffix
     /// labels seed `persisted_labels` so `do_it` re-assigns the pre-crash
-    /// minima instead of minting fresh labels. Like
+    /// minima instead of minting fresh labels — and every fresh label is
+    /// minted above them (see `rejoin`). Like
     /// [`Replica::recover`], the result stays passive until it has heard
     /// gossip from every peer and every operation it labeled pre-crash is
     /// re-received (here: immediately, since the log holds the suffix
@@ -527,7 +524,6 @@ impl<T: SerialDataType> Replica<T> {
             "restore rebuilds the §10.1 memo prefix: it requires memoize + Recompute"
         );
         let mut r = Replica::new(dt, img.id, n, config);
-        r.gen = LabelGenerator::from_counter(img.id, img.next_counter);
         let here = r.idx(img.id);
         // Labels first (the done marks debug-assert Invariant 7.5).
         let mut prev: Option<Label> = None;
@@ -570,27 +566,41 @@ impl<T: SerialDataType> Replica<T> {
         }
         // Prefix labels are frozen (Lemma 10.2) — a logged label for a
         // prefix op is a stale duplicate, not a clamp to keep.
-        r.persisted_labels = img
-            .suffix_labels
-            .into_iter()
-            .filter(|(id, _)| !prefix_ids.contains(id))
-            .collect();
+        r.rejoin(
+            img.next_counter,
+            img.suffix_labels
+                .into_iter()
+                .filter(|(id, _)| !prefix_ids.contains(id)),
+        );
         // The restore itself is already durable — drop its tracking.
         r.newly_done.clear();
         if let Some(w) = &mut r.wal_delta {
             *w = WalDelta::default();
         }
-        let peers: BTreeSet<ReplicaId> = (0..n as u32)
-            .map(ReplicaId)
-            .filter(|p| *p != img.id)
-            .collect();
-        r.recovering = (!peers.is_empty()).then_some(peers);
         r
     }
 
+    /// Enters the §9.3 recovery gate with what stable storage kept — the
+    /// label-counter floor and labels. `do_it` re-assigns the labels, and
+    /// every fresh label is minted above all of them — peers' labels in a
+    /// restored log included — so no new operation can be ordered before
+    /// one labeled pre-crash.
+    fn rejoin(&mut self, next_counter: u64, persisted: impl IntoIterator<Item = (OpId, Label)>) {
+        self.gen = LabelGenerator::from_counter(self.id, next_counter);
+        for (id, l) in persisted {
+            self.gen.observe(l);
+            self.persisted_labels.insert(id, l);
+        }
+        let peers: BTreeSet<ReplicaId> = (0..self.n as u32)
+            .map(ReplicaId)
+            .filter(|p| *p != self.id)
+            .collect();
+        self.recovering = (!peers.is_empty()).then_some(peers);
+    }
+
     /// Simulates a crash with volatile memory: returns the stable-storage
-    /// stub, consuming the replica.
-    pub fn crash(self) -> RecoveryStub {
+    /// stub; the caller discards the replica itself.
+    pub fn crash(&self) -> RecoveryStub {
         let local_min_labels = self
             .labels
             .iter()
@@ -695,9 +705,9 @@ impl<T: SerialDataType> Replica<T> {
     }
 
     /// Drains the pending write-ahead-log delta (empty unless
-    /// [`ReplicaConfig::durable`] is set). Drivers call this after every
-    /// mutating input and persist the result before releasing the
-    /// handler's effects.
+    /// [`ReplicaConfig::durable`] is set). A [`crate::Persistence`]
+    /// backend calls this when the [`crate::Node`] persists, before the
+    /// handler's effects are released.
     pub fn take_wal_delta(&mut self) -> WalDelta {
         self.wal_delta
             .as_mut()
@@ -876,11 +886,10 @@ impl<T: SerialDataType> Replica<T> {
 
     /// Forgets the batched delta state for `peer` — handshake, sent
     /// summaries, retired labels — so the next gossip to it carries
-    /// everything again. Called at every healthy replica when `peer`
-    /// recovers from a crash ("requesting new gossip", §9.3) and by
-    /// transports when a connection to `peer` drops or is dialed anew (a
-    /// lost delta would otherwise never be re-shipped, and the peer
-    /// behind a new connection may have restarted without its memory).
+    /// everything again. [`crate::Node`] calls it on a new link to `peer`
+    /// (the peer may have recovered from a crash without its memory —
+    /// "requesting new gossip", §9.3) and on a lost write (a lost delta
+    /// would otherwise never be re-shipped).
     pub fn reset_watermark(&mut self, peer: ReplicaId) {
         self.batch.remove(&peer);
     }
@@ -889,8 +898,8 @@ impl<T: SerialDataType> Replica<T> {
     /// strategy's **pacing**: `Full` emits a snapshot on every call;
     /// `Batched { every }` returns `None` until `every` ticks have
     /// accumulated for this peer, then one [`BatchedGossipMsg`] covering
-    /// everything since the last exchange. Transports should call this
-    /// once per peer per gossip tick and send only `Some` results.
+    /// everything since the last exchange. [`crate::Node::on_tick`] calls
+    /// this once per reachable peer per gossip tick.
     pub fn poll_gossip(&mut self, peer: ReplicaId) -> Option<GossipEnvelope<T::Operator>> {
         let every = match self.config.gossip {
             GossipStrategy::Batched { every } if self.recovering.is_none() => every.max(1),

@@ -11,7 +11,7 @@
 //! [`ConformanceObserver`](crate::ConformanceObserver).
 
 use esds_core::SerialDataType;
-use esds_spec::{fold_digest, AuditResult, AuditStatus, AuditViolation, StreamingChecker};
+use esds_spec::{AuditResult, AuditStatus, AuditViolation, StreamingChecker};
 
 use crate::system::{SimSystem, StepReport};
 
@@ -46,11 +46,6 @@ use crate::system::{SimSystem, StepReport};
 #[derive(Clone, Debug)]
 pub struct AuditDriver<T: SerialDataType> {
     checker: StreamingChecker<T>,
-    /// How many stable-prefix entries have been fed as `Stabilize`.
-    fed_stable: usize,
-    /// Chain digest of the fed entries, guarding against transiently
-    /// re-ordered prefix estimates during crash recovery.
-    fed_digest: u64,
 }
 
 impl<T: SerialDataType> AuditDriver<T> {
@@ -58,19 +53,13 @@ impl<T: SerialDataType> AuditDriver<T> {
     pub fn new(dt: T) -> Self {
         AuditDriver {
             checker: StreamingChecker::new(dt),
-            fed_stable: 0,
-            fed_digest: 0,
         }
     }
 
     /// A driver around a pre-configured checker (custom grace window or
     /// `check_all` mode).
     pub fn with_checker(checker: StreamingChecker<T>) -> Self {
-        AuditDriver {
-            checker,
-            fed_stable: 0,
-            fed_digest: 0,
-        }
+        AuditDriver { checker }
     }
 
     /// Feeds one step's externally-visible actions: new requests, then
@@ -99,12 +88,9 @@ impl<T: SerialDataType> AuditDriver<T> {
     /// it includes tentative operations interleaved before the fence,
     /// whose positions are already final even though their stability
     /// *knowledge* has not completed. While a replica is crashed the
-    /// prefix is unobservable and this is a no-op. A freshly recovered
-    /// replica relearns labels, so for a while the *estimated* prefix
-    /// may be shorter than — or ordered differently from — what was
-    /// already fed; such polls are skipped (guarded by a chain digest
-    /// of the fed prefix) and a later poll, once estimates re-converge,
-    /// feeds the missed suffix.
+    /// prefix is unobservable and this is a no-op; estimates a recovering
+    /// replica skews are skipped by
+    /// [`StreamingChecker::on_final_prefix`].
     ///
     /// # Errors
     ///
@@ -113,24 +99,10 @@ impl<T: SerialDataType> AuditDriver<T> {
     where
         T: Clone,
     {
-        let Some(prefix) = sys.final_prefix() else {
-            return Ok(());
-        };
-        if prefix.len() < self.fed_stable {
-            return Ok(());
+        match sys.final_prefix() {
+            Some(prefix) => self.checker.on_final_prefix(&prefix),
+            None => Ok(()),
         }
-        let fed = prefix[..self.fed_stable]
-            .iter()
-            .fold(0, |d, &id| fold_digest(d, id));
-        if fed != self.fed_digest {
-            return Ok(());
-        }
-        for &id in &prefix[self.fed_stable..] {
-            self.checker.on_stabilize(id)?;
-            self.fed_stable += 1;
-            self.fed_digest = fold_digest(self.fed_digest, id);
-        }
-        Ok(())
     }
 
     /// Ends the stream: every requested operation must have stabilized.

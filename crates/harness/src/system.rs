@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use esds_alg::{
-    FrontEnd, GossipEnvelope, GossipMsg, RelayPolicy, Replica, ReplicaConfig, ReplicaStats,
-    RequestMsg, ResponseMsg, SystemView,
+    Dead, FrontEnd, GossipEnvelope, GossipMsg, Link, Node, RelayPolicy, Replica, ReplicaConfig,
+    ReplicaStats, RequestMsg, RespondEffect, ResponseMsg, SystemView,
 };
 use esds_core::{ClientId, OpDescriptor, OpId, ReplicaId, SerialDataType};
 use esds_sim::{
@@ -199,7 +199,9 @@ impl SystemConfig {
 pub enum FaultEvent {
     /// Crash a replica, losing volatile memory (stable storage retained).
     Crash(ReplicaId),
-    /// Restart a crashed replica from its stable-storage stub.
+    /// Restart a crashed replica from its stable-storage stub, volatile
+    /// from then on (a restart from a durable backend's disk image goes
+    /// through [`SimSystem::replace_replica`]).
     Recover(ReplicaId),
     /// Drop all traffic on every channel touching this replica.
     Isolate(ReplicaId),
@@ -311,19 +313,25 @@ pub struct OpTiming {
 }
 
 enum Slot<T: SerialDataType> {
-    Alive(Box<Replica<T>>),
+    /// A running node; a durable one owns its backend (see
+    /// [`SimSystem::install_persistence`]).
+    Alive(Box<Node<T>>),
     Crashed(esds_alg::RecoveryStub),
+}
+
+impl<T: SerialDataType> Slot<T> {
+    fn replica(&self) -> Option<&Replica<T>> {
+        match self {
+            Slot::Alive(node) => Some(node.replica()),
+            Slot::Crashed(_) => None,
+        }
+    }
 }
 
 struct EsdsWorld<T: SerialDataType + Clone> {
     dt: T,
     config: SystemConfig,
     replicas: Vec<Slot<T>>,
-    /// Per-replica durable backends (see [`SimSystem::install_persistence`]).
-    /// A replica with a backend persists after every mutating handler,
-    /// before its effects enter the network; a persist failure crashes
-    /// the slot exactly like [`FaultEvent::Crash`].
-    persistence: Vec<Option<Box<dyn esds_alg::Persistence<T>>>>,
     busy: Vec<SimTime>,
     isolated: Vec<bool>,
     /// Per-replica incarnation counter, bumped at every crash; gossip
@@ -335,6 +343,11 @@ struct EsdsWorld<T: SerialDataType + Clone> {
     /// receiver's `reset_watermark` just rewound, suppressing re-sends
     /// the recovered incarnation still needs.
     crash_epoch: Vec<u64>,
+    /// Per replica, the peers that restarted since it last gossiped to
+    /// them: its next tick reports those links as [`Link::New`], so its
+    /// node rewinds the delta state toward the memory-less incarnation
+    /// ("requesting new gossip", §9.3).
+    restarted: Vec<BTreeSet<ReplicaId>>,
     front_ends: Vec<FrontEnd<T::Operator, T::Value>>,
     users: Users<T::Operator>,
 
@@ -365,10 +378,54 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
         )
     }
 
-    fn replica(&mut self, r: ReplicaId) -> Option<&mut Replica<T>> {
+    fn node(&mut self, r: ReplicaId) -> Option<&mut Node<T>> {
         match &mut self.replicas[r.0 as usize] {
-            Slot::Alive(rep) => Some(rep),
+            Slot::Alive(node) => Some(node),
             Slot::Crashed(_) => None,
+        }
+    }
+
+    /// Crashes slot `r` (no-op if it is down): volatile state and backend
+    /// are lost, and in-flight messages to the old incarnation die with
+    /// its connections.
+    fn crash(&mut self, r: ReplicaId) {
+        let i = r.0 as usize;
+        if let Slot::Alive(node) = &self.replicas[i] {
+            self.replicas[i] = Slot::Crashed(node.replica().crash());
+            self.crash_epoch[i] += 1;
+        }
+    }
+
+    /// Runs a restarted node in slot `r`; every peer's next gossip tick
+    /// reaches it over a new link.
+    fn revive(&mut self, r: ReplicaId, node: Node<T>, now: SimTime) {
+        let i = r.0 as usize;
+        self.replicas[i] = Slot::Alive(Box::new(node));
+        self.busy[i] = now;
+        self.restarted[i].clear();
+        for (j, peers) in self.restarted.iter_mut().enumerate() {
+            if j != i {
+                peers.insert(r);
+            }
+        }
+    }
+
+    /// Feeds one input to replica `r`'s node (dropped if `r` is down).
+    /// The effects it released enter the network; a dead node — its
+    /// persist failed — crashes the slot and releases nothing.
+    fn input(
+        &mut self,
+        r: ReplicaId,
+        queue: &mut EventQueue<Event<T::Operator, T::Value>>,
+        f: impl FnOnce(&mut Node<T>) -> Result<Vec<RespondEffect<T::Value>>, Dead>,
+    ) {
+        let Some(node) = self.node(r) else { return };
+        match f(node) {
+            Ok(effects) => {
+                self.apply_effects(r, queue, effects);
+                self.note_newly_done(r, queue.now());
+            }
+            Err(_) => self.crash(r),
         }
     }
 
@@ -490,44 +547,12 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
             )
     }
 
-    /// Persists replica `r`'s pending delta through its installed
-    /// backend (no-op without one). Returns `false` if the persist
-    /// failed — the replica is then crashed in place (volatile state
-    /// lost, [`FaultEvent::Crash`] semantics) and the caller must drop
-    /// the handler's effects: a response whose log write failed was
-    /// never released.
-    fn persist_replica(&mut self, r: ReplicaId) -> bool {
-        let i = r.0 as usize;
-        let Some(store) = self.persistence[i].as_mut() else {
-            return true;
-        };
-        let Slot::Alive(rep) = &mut self.replicas[i] else {
-            return true;
-        };
-        if store.persist(rep).is_ok() {
-            return true;
-        }
-        self.persistence[i] = None;
-        if let Slot::Alive(rep) = std::mem::replace(
-            &mut self.replicas[i],
-            Slot::Crashed(esds_alg::RecoveryStub {
-                id: r,
-                next_counter: 0,
-                local_min_labels: Vec::new(),
-            }),
-        ) {
-            self.replicas[i] = Slot::Crashed(rep.crash());
-            self.crash_epoch[i] += 1;
-        }
-        false
-    }
-
     /// Handles replica output effects: transmit responses, update logs.
     fn apply_effects(
         &mut self,
         r: ReplicaId,
         queue: &mut EventQueue<Event<T::Operator, T::Value>>,
-        effects: Vec<esds_alg::RespondEffect<T::Value>>,
+        effects: Vec<RespondEffect<T::Value>>,
     ) {
         for e in effects {
             self.responded.insert(e.msg.id);
@@ -545,9 +570,8 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
     /// Drains newly-done bookkeeping for the Lemma 9.2 experiment.
     fn note_newly_done(&mut self, r: ReplicaId, now: SimTime) {
         let n = self.config.n_replicas;
-        let Some(rep) = self.replica(r) else { return };
-        let newly = rep.take_newly_done();
-        for x in newly {
+        let Some(node) = self.node(r) else { return };
+        for x in node.take_newly_done() {
             let set = self.done_at.entry(x).or_default();
             set.insert(r);
             if set.len() == n {
@@ -560,50 +584,16 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
 
     fn apply_fault(&mut self, f: FaultEvent, queue: &mut EventQueue<Event<T::Operator, T::Value>>) {
         match f {
-            FaultEvent::Crash(r) => {
-                let i = r.0 as usize;
-                if let Slot::Alive(rep) = std::mem::replace(
-                    &mut self.replicas[i],
-                    Slot::Crashed(esds_alg::RecoveryStub {
-                        id: r,
-                        next_counter: 0,
-                        local_min_labels: Vec::new(),
-                    }),
-                ) {
-                    self.replicas[i] = Slot::Crashed(rep.crash());
-                    // In-flight messages to the old incarnation die with
-                    // its connections.
-                    self.crash_epoch[i] += 1;
-                }
-            }
+            FaultEvent::Crash(r) => self.crash(r),
             FaultEvent::Recover(r) => {
-                let i = r.0 as usize;
-                if let Slot::Crashed(stub) = std::mem::replace(
-                    &mut self.replicas[i],
-                    Slot::Crashed(esds_alg::RecoveryStub {
-                        id: r,
-                        next_counter: 0,
-                        local_min_labels: Vec::new(),
-                    }),
-                ) {
+                if let Slot::Crashed(stub) = &self.replicas[r.0 as usize] {
                     let rep = Replica::recover(
                         self.dt.clone(),
-                        stub,
+                        stub.clone(),
                         self.config.n_replicas,
                         self.config.replica,
                     );
-                    self.replicas[i] = Slot::Alive(Box::new(rep));
-                    self.busy[i] = queue.now();
-                    // Peers rewind their batched delta state: the next
-                    // gossip to the recovered replica is full ("requesting
-                    // new gossip", §9.3).
-                    for j in 0..self.config.n_replicas {
-                        if j != i {
-                            if let Slot::Alive(peer) = &mut self.replicas[j] {
-                                peer.reset_watermark(r);
-                            }
-                        }
-                    }
+                    self.revive(r, Node::new(rep, None), queue.now());
                 }
             }
             FaultEvent::Isolate(r) => self.isolated[r.0 as usize] = true,
@@ -633,32 +623,16 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 }
             }
             Event::DeliverRequest { to, msg } => {
-                if self.replica(to).is_none() {
+                if self.node(to).is_none() {
                     return; // crashed: message lost with the process
                 }
                 match self.finish_time(to, queue.now(), self.config.processing.request_cost) {
-                    None => {
-                        let fx = self
-                            .replica(to)
-                            .expect("alive checked")
-                            .on_request(msg.desc);
-                        if self.persist_replica(to) {
-                            self.apply_effects(to, queue, fx);
-                            self.note_newly_done(to, queue.now());
-                        }
-                    }
+                    None => self.input(to, queue, |node| node.on_request(msg.desc)),
                     Some(at) => queue.schedule_at(at, Event::ProcessRequest { at: to, msg }),
                 }
             }
             Event::ProcessRequest { at, msg } => {
-                if self.replica(at).is_none() {
-                    return;
-                }
-                let fx = self.replica(at).expect("alive").on_request(msg.desc);
-                if self.persist_replica(at) {
-                    self.apply_effects(at, queue, fx);
-                    self.note_newly_done(at, queue.now());
-                }
+                self.input(at, queue, |node| node.on_request(msg.desc));
             }
             Event::DeliverGossip {
                 to,
@@ -667,17 +641,11 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 epochs,
             } => {
                 self.in_flight_gossip.remove(&tag);
-                if self.gossip_is_stale(msg.from(), to, epochs) || self.replica(to).is_none() {
+                if self.gossip_is_stale(msg.from(), to, epochs) || self.node(to).is_none() {
                     return;
                 }
                 match self.finish_time(to, queue.now(), self.config.processing.gossip_cost) {
-                    None => {
-                        let fx = self.replica(to).expect("alive").on_gossip_envelope(msg);
-                        if self.persist_replica(to) {
-                            self.apply_effects(to, queue, fx);
-                            self.note_newly_done(to, queue.now());
-                        }
-                    }
+                    None => self.input(to, queue, |node| node.on_gossip(msg)),
                     Some(at) => queue.schedule_at(
                         at,
                         Event::ProcessGossip {
@@ -689,13 +657,8 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 }
             }
             Event::ProcessGossip { at, msg, epochs } => {
-                if self.gossip_is_stale(msg.from(), at, epochs) || self.replica(at).is_none() {
-                    return;
-                }
-                let fx = self.replica(at).expect("alive").on_gossip_envelope(msg);
-                if self.persist_replica(at) {
-                    self.apply_effects(at, queue, fx);
-                    self.note_newly_done(at, queue.now());
+                if !self.gossip_is_stale(msg.from(), at, epochs) {
+                    self.input(at, queue, |node| node.on_gossip(msg));
                 }
             }
             Event::DeliverResponse { to, msg } => {
@@ -719,48 +682,47 @@ impl<T: SerialDataType + Clone> World for EsdsWorld<T> {
                 // shipped (handshake and sent-label state), so building a
                 // message the fault model then drops would lose those
                 // deltas forever (Reconnect, unlike Recover, does not
-                // reset peers' watermarks).
-                if self.isolated[from.0 as usize] {
+                // make the links new).
+                let i = from.0 as usize;
+                if self.isolated[i] || self.node(from).is_none() {
                     return;
                 }
-                let peers: Vec<ReplicaId> = (0..n as u32)
-                    .map(ReplicaId)
-                    .filter(|p| *p != from && !self.isolated[p.0 as usize])
+                let mut links: Vec<Link> = (0..n)
+                    .map(|p| {
+                        if p == i || self.isolated[p] {
+                            Link::Down
+                        } else if self.restarted[i].remove(&ReplicaId(p as u32)) {
+                            Link::New
+                        } else {
+                            Link::Up
+                        }
+                    })
                     .collect();
-                if peers.is_empty() {
-                    return;
-                }
-                if self.config.broadcast_gossip {
-                    let Some(rep) = self.replica(from) else {
-                        return;
-                    };
-                    let msg = GossipEnvelope::Snapshot(rep.make_gossip(peers[0]));
-                    // Sync-before-release: a failing disk silences the
-                    // replica before the envelope enters the network.
-                    if !self.persist_replica(from) {
-                        return;
+                // §10.4's broadcast: one envelope, built for the first
+                // reachable peer and delivered to all of them.
+                let fan_out = self.config.broadcast_gossip.then(|| {
+                    let reachable: Vec<usize> =
+                        (0..n).filter(|p| links[*p] != Link::Down).collect();
+                    for p in reachable.iter().skip(1) {
+                        links[*p] = Link::Down;
                     }
+                    reachable
+                });
+                let node = self.node(from).expect("alive checked");
+                let Ok(outbox) = node.on_tick(&links) else {
+                    self.crash(from);
+                    return;
+                };
+                for (p, msg) in outbox {
                     self.gossip_messages_sent += 1;
                     self.gossip_bytes_sent += msg.approx_bytes() as u64;
-                    for p in peers {
-                        self.transmit_r2r(from, p, queue, msg.clone());
-                    }
-                } else {
-                    for p in peers {
-                        let Some(rep) = self.replica(from) else {
-                            return;
-                        };
-                        // Batched strategies skip ticks that are still
-                        // accumulating: no message, no bytes.
-                        let Some(msg) = rep.poll_gossip(p) else {
-                            continue;
-                        };
-                        if !self.persist_replica(from) {
-                            return;
+                    match &fan_out {
+                        Some(peers) => {
+                            for q in peers {
+                                self.transmit_r2r(from, ReplicaId(*q as u32), queue, msg.clone());
+                            }
                         }
-                        self.gossip_messages_sent += 1;
-                        self.gossip_bytes_sent += msg.approx_bytes() as u64;
-                        self.transmit_r2r(from, p, queue, msg);
+                        None => self.transmit_r2r(from, p, queue, msg),
                     }
                 }
             }
@@ -818,7 +780,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
                 config.rr_channel.loss_prob <= 0.0,
                 "delta gossip (batched) assumes reliable replica channels: a dropped message \
                  loses its deltas forever (the simulator, unlike the TCP transport, has no \
-                 send-failure signal to trigger reset_watermark); use GossipStrategy::Full with \
+                 send-failure signal to report as a lost write); use GossipStrategy::Full with \
                  lossy rr channels"
             );
             // Batched exchanges additionally need *in-order* delivery:
@@ -839,12 +801,13 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         }
         let replicas = (0..config.n_replicas)
             .map(|i| {
-                Slot::Alive(Box::new(Replica::new(
+                let rep = Replica::new(
                     dt.clone(),
                     ReplicaId(i as u32),
                     config.n_replicas,
                     config.replica,
-                )))
+                );
+                Slot::Alive(Box::new(Node::new(rep, None)))
             })
             .collect();
         let mut queue = EventQueue::new();
@@ -858,10 +821,10 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         }
         let world = EsdsWorld {
             dt,
-            persistence: (0..config.n_replicas).map(|_| None).collect(),
             busy: vec![SimTime::ZERO; config.n_replicas],
             isolated: vec![false; config.n_replicas],
             crash_epoch: vec![0; config.n_replicas],
+            restarted: vec![BTreeSet::new(); config.n_replicas],
             replicas,
             front_ends: Vec::new(),
             users: Users::new(),
@@ -980,17 +943,17 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.queue.schedule_at(at, Event::Fault(fault));
     }
 
-    /// Installs a durable backend for replica `r`. From now on the
-    /// replica persists after every mutating handler, *before* its
-    /// effects (responses, gossip) enter the simulated network — the
-    /// sync-before-release discipline of [`esds_alg::Persistence`]. A
-    /// persist failure (e.g. an armed `esds_store::CrashPlan`) crashes
-    /// the slot exactly like [`FaultEvent::Crash`]: the handler's
-    /// effects are dropped, volatile state is lost.
+    /// Installs a durable backend for replica `r`: the slot runs a fresh
+    /// node owning it, which persists every input *before* its effects
+    /// (responses, gossip) enter the simulated network — the
+    /// sync-before-release discipline of [`esds_alg::Node`]. A persist
+    /// failure (e.g. an armed `esds_store::CrashPlan`) crashes the slot
+    /// exactly like [`FaultEvent::Crash`]: the input's effects are
+    /// dropped, volatile state is lost.
     ///
     /// The backend must have been opened for the *same* identity and an
     /// *empty* disk, so its internal generation matches the fresh
-    /// replica it now shadows; a restart-from-disk goes through
+    /// replica; a restart-from-disk goes through
     /// [`SimSystem::replace_replica`] instead.
     ///
     /// # Panics
@@ -1000,28 +963,30 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// delta, making the log silently empty), if `r` is out of range,
     /// or if replica `r` has already processed an operation.
     pub fn install_persistence(&mut self, r: usize, store: Box<dyn esds_alg::Persistence<T>>) {
+        let config = self.world.config.replica;
         assert!(
-            self.world.config.replica.durable,
+            config.durable,
             "install_persistence needs config.replica.durable (with_durable()): without it the \
              replica does not track a WAL delta and nothing would ever be logged"
         );
-        match &self.world.replicas[r] {
-            Slot::Alive(rep) => assert!(
-                rep.rcvd().is_empty() && rep.memo_order().is_empty(),
-                "install_persistence must run before replica {r} processes anything (earlier \
-                 inputs would be missing from the log)"
-            ),
-            Slot::Crashed(_) => panic!("replica {r} is crashed; use replace_replica"),
-        }
-        self.world.persistence[r] = Some(store);
+        let rep = self.world.replicas[r]
+            .replica()
+            .unwrap_or_else(|| panic!("replica {r} is crashed; use replace_replica"));
+        assert!(
+            rep.rcvd().is_empty() && rep.memo_order().is_empty(),
+            "install_persistence must run before replica {r} processes anything (earlier \
+             inputs would be missing from the log)"
+        );
+        let n = self.world.config.n_replicas;
+        let fresh = Replica::new(self.world.dt.clone(), rep.id(), n, config);
+        self.world.replicas[r] = Slot::Alive(Box::new(Node::new(fresh, Some(store))));
     }
 
     /// Replaces a **crashed** slot with a replica recovered from disk
     /// (e.g. by `esds_store::DurableStore::open` over the surviving
-    /// image), installing its backend alongside. The replica re-enters
-    /// through the §9.3 gate — passive until it has gossiped with every
-    /// peer — and peers rewind their batched delta state toward it, like
-    /// [`FaultEvent::Recover`].
+    /// image), its backend alongside. The replica re-enters through the
+    /// §9.3 gate — passive until it has gossiped with every peer — and
+    /// peers reach it over new links, like [`FaultEvent::Recover`].
     ///
     /// # Panics
     ///
@@ -1036,17 +1001,9 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
             matches!(self.world.replicas[r], Slot::Crashed(_)),
             "replace_replica targets a crashed slot; crash replica {r} first"
         );
-        self.world.replicas[r] = Slot::Alive(Box::new(rep));
-        self.world.persistence[r] = store;
-        self.world.busy[r] = self.queue.now();
-        let id = ReplicaId(r as u32);
-        for j in 0..self.world.config.n_replicas {
-            if j != r {
-                if let Slot::Alive(peer) = &mut self.world.replicas[j] {
-                    peer.reset_watermark(id);
-                }
-            }
-        }
+        let now = self.queue.now();
+        self.world
+            .revive(ReplicaId(r as u32), Node::new(rep, store), now);
     }
 
     /// Runs until the given virtual time.
@@ -1117,30 +1074,14 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// Whether every requested operation is answered and stable at every
     /// replica (and all replicas are alive).
     pub fn is_converged(&self) -> bool {
-        let all_alive = self
-            .world
-            .replicas
+        let w = &self.world;
+        w.replicas
             .iter()
-            .all(|s| matches!(s, Slot::Alive(r) if !r.is_recovering()));
-        if !all_alive {
-            return false;
-        }
-        let all_answered = self
-            .world
-            .front_ends
-            .iter()
-            .all(|f| f.waiting_ids().is_empty());
-        if !all_answered {
-            return false;
-        }
-        self.world.replicas.iter().all(|s| match s {
-            Slot::Alive(r) => self
-                .world
-                .requested
+            .all(|s| s.replica().is_some_and(|r| !r.is_recovering()))
+            && w.front_ends.iter().all(|f| f.waiting_ids().is_empty())
+            && w.requested
                 .keys()
-                .all(|id| r.stable_everywhere().contains(id)),
-            Slot::Crashed(_) => false,
-        })
+                .all(|id| self.op_is_stable_everywhere(*id))
     }
 
     // ------------------------------------------------------------------
@@ -1225,9 +1166,9 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// across the group. `false` while any replica is crashed (stability
     /// knowledge cannot be complete).
     pub fn op_is_stable_everywhere(&self, id: OpId) -> bool {
-        self.world.replicas.iter().all(|s| match s {
-            Slot::Alive(r) => r.stable_everywhere().contains(&id),
-            Slot::Crashed(_) => false,
+        self.world.replicas.iter().all(|s| {
+            s.replica()
+                .is_some_and(|r| r.stable_everywhere().contains(&id))
         })
     }
 
@@ -1269,25 +1210,21 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// ([`AuditDriver`](crate::AuditDriver)). `None` if a replica is
     /// crashed (stability knowledge is unobservable).
     pub fn final_prefix(&self) -> Option<Vec<OpId>> {
-        let mut order = self.view()?.minlabel_order();
-        let solid = order
-            .iter()
-            .rposition(|id| self.op_is_stable_everywhere(*id))
-            .map_or(0, |i| i + 1);
-        order.truncate(solid);
-        Some(order)
+        let order = self.view()?.minlabel_order();
+        Some(esds_spec::final_prefix(order, |id| {
+            self.op_is_stable_everywhere(id)
+        }))
     }
 
     /// A live borrow view for invariant checks. `None` if any replica is
     /// crashed or the system has no replicas.
     pub fn view(&self) -> Option<SystemView<'_, T>> {
-        let mut replicas = Vec::with_capacity(self.world.replicas.len());
-        for s in &self.world.replicas {
-            match s {
-                Slot::Alive(r) => replicas.push(&**r),
-                Slot::Crashed(_) => return None,
-            }
-        }
+        let replicas = self
+            .world
+            .replicas
+            .iter()
+            .map(Slot::replica)
+            .collect::<Option<Vec<_>>>()?;
         let mut waiting = BTreeSet::new();
         for f in &self.world.front_ends {
             waiting.extend(f.waiting_ids());
@@ -1311,10 +1248,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .filter_map(|s| match s {
-                Slot::Alive(r) => Some(r.local_order()),
-                Slot::Crashed(_) => None,
-            })
+            .filter_map(|s| Some(s.replica()?.local_order()))
             .collect()
     }
 
@@ -1323,10 +1257,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .filter_map(|s| match s {
-                Slot::Alive(r) => Some(r.current_state()),
-                Slot::Crashed(_) => None,
-            })
+            .filter_map(|s| Some(s.replica()?.current_state()))
             .collect()
     }
 
@@ -1335,10 +1266,7 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
         self.world
             .replicas
             .iter()
-            .map(|s| match s {
-                Slot::Alive(r) => r.stats(),
-                Slot::Crashed(_) => ReplicaStats::default(),
-            })
+            .map(|s| s.replica().map(Replica::stats).unwrap_or_default())
             .collect()
     }
 

@@ -24,7 +24,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use esds_core::{OpDescriptor, OpId, SerialDataType};
-use esds_spec::{AuditCertificate, AuditConfig, AuditStatus, AuditViolation, StreamingChecker};
+use esds_spec::{
+    final_prefix, AuditCertificate, AuditConfig, AuditStatus, AuditViolation, StreamingChecker,
+};
 use parking_lot::Mutex;
 
 use crate::service::InspectHandle;
@@ -67,12 +69,6 @@ impl<T: SerialDataType> AuditTap<T> {
     /// Folds a response (with witness, when recorded) into the audit.
     pub fn tap_response(&self, id: OpId, value: T::Value, witness: Option<Vec<OpId>>) {
         let _ = self.checker.lock().on_response(id, value, witness);
-    }
-
-    /// Folds one eventual-order position into the audit (the sidecar's
-    /// feed; tests may also drive it directly).
-    pub fn tap_stabilize(&self, id: OpId) {
-        let _ = self.checker.lock().on_stabilize(id);
     }
 
     /// The live audit status: ops verified, watermark lag, peak
@@ -150,7 +146,6 @@ where
         let thread = std::thread::Builder::new()
             .name("esds-audit".into())
             .spawn(move || {
-                let mut fed = (0usize, 0u64);
                 let publish = |tap: &AuditTap<T>| {
                     if obs_enabled {
                         let st = tap.status();
@@ -161,7 +156,7 @@ where
                     }
                 };
                 while !stop2.load(Ordering::Relaxed) {
-                    if Self::sync(&handle, &tap2, &mut fed).is_none() {
+                    if Self::sync(&handle, &tap2).is_none() {
                         return; // service shut down
                     }
                     publish(&tap2);
@@ -169,7 +164,7 @@ where
                 }
                 // One final sync so a stop() after client quiescence
                 // observes the complete watermark.
-                let _ = Self::sync(&handle, &tap2, &mut fed);
+                let _ = Self::sync(&handle, &tap2);
                 publish(&tap2);
             })
             .expect("spawn audit sidecar");
@@ -181,38 +176,14 @@ where
     }
 
     /// One watermark poll: the first replica's label order truncated
-    /// just past the last operation it knows is stable everywhere.
-    /// That prefix of the eventual total order is final — once an op is
-    /// stable everywhere, every clock has passed its label — and
-    /// gap-free: tentative operations interleaved before the fence ride
-    /// along, their positions already immovable. `None` once the
-    /// service is gone. `fed` is the (count, chain digest) of the
-    /// watermark entries already delivered to the tap.
-    fn sync(handle: &InspectHandle<T>, tap: &AuditTap<T>, fed: &mut (usize, u64)) -> Option<()> {
+    /// just past the last operation it knows is stable everywhere
+    /// ([`esds_spec::final_prefix`]), fed through
+    /// [`StreamingChecker::on_final_prefix`]. `None` once the service is
+    /// gone.
+    fn sync(handle: &InspectHandle<T>, tap: &AuditTap<T>) -> Option<()> {
         let snap = handle.snapshot(0)?;
-        let solid = snap
-            .order
-            .iter()
-            .rposition(|id| snap.stable_everywhere.contains(id))
-            .map_or(0, |i| i + 1);
-        let watermark: Vec<OpId> = snap.order[..solid].to_vec();
-        // A replica mid-recovery can transiently report an estimate
-        // shorter than, or ordered differently from, what was already
-        // fed: skip such polls (digest guard); a later poll catches up.
-        if watermark.len() < fed.0 {
-            return Some(());
-        }
-        let seen = watermark[..fed.0]
-            .iter()
-            .fold(0, |d, &id| esds_spec::fold_digest(d, id));
-        if seen != fed.1 {
-            return Some(());
-        }
-        for &id in &watermark[fed.0..] {
-            tap.tap_stabilize(id);
-            fed.0 += 1;
-            fed.1 = esds_spec::fold_digest(fed.1, id);
-        }
+        let watermark = final_prefix(snap.order, |id| snap.stable_everywhere.contains(&id));
+        let _ = tap.checker.lock().on_final_prefix(&watermark);
         Some(())
     }
 

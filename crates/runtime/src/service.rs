@@ -1,7 +1,8 @@
 //! A real multithreaded deployment of the ESDS algorithm.
 //!
 //! Each replica runs on its own OS thread, driving the *same*
-//! [`esds_alg::Replica`] state machine as the simulator; a network thread
+//! [`esds_alg::Node`] as the simulator (which also owns a durable
+//! replica's sync-before-release); a network thread
 //! routes all messages and injects a configurable propagation delay,
 //! standing in for the paper's workstation network (Cheiner ran on
 //! MPI-connected Unix workstations). Clients interact
@@ -13,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
-    FrontEnd, GossipEnvelope, Persistence, RelayPolicy, Replica, ReplicaConfig, RequestMsg,
-    ResponseMsg,
+    FrontEnd, GossipEnvelope, Link, Node, Persistence, RelayPolicy, Replica, ReplicaConfig,
+    RequestMsg, ResponseMsg,
 };
 use esds_core::{ClientId, OpId, ReplicaId, SerialDataType};
 use parking_lot::Mutex;
@@ -152,10 +153,6 @@ type ClientRegistry<V> = std::sync::Arc<Mutex<Vec<Sender<ResponseMsg<V>>>>>;
 /// [`RuntimeService::start_durable`] (and, per shard, to
 /// `ShardedService::start_durable`).
 pub type DurableReplica<T> = (Replica<T>, Box<dyn Persistence<T>>);
-
-/// A replica slot as the service threads run it: durable slots carry
-/// their backend, volatile slots `None`.
-type ReplicaSlot<T> = (Replica<T>, Option<Box<dyn Persistence<T>>>);
 
 /// A cheap cloneable handle for fetching [`ReplicaSnapshot`]s without
 /// borrowing the [`RuntimeService`] — what a background audit sidecar
@@ -347,23 +344,21 @@ where
     pub fn start(dt: T, config: RuntimeConfig) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         let n = config.n_replicas;
-        let replicas = (0..n)
+        let nodes = (0..n)
             .map(|i| {
                 let rep = Replica::new(dt.clone(), ReplicaId(i as u32), n, config.replica);
-                (rep, None)
+                Node::new(rep, None)
             })
             .collect();
-        Self::start_replicas(config, replicas)
+        Self::start_nodes(config, nodes)
     }
 
     /// Starts the service over **pre-built** replicas, each paired with
     /// its durable backend — what a restart-from-disk looks like: the
     /// caller opens each replica's store (recovering whatever survives)
-    /// and hands the recovered replicas here. Every mutating input is
-    /// persisted (synced) *before* its effects are released, so a crash
-    /// can only lose operations nobody was answered for; a persist
-    /// failure stops that replica's thread, dropping the effects, as if
-    /// its machine had lost power.
+    /// and hands the recovered replicas here. Each replica's [`Node`]
+    /// syncs every input before releasing its effects; a persist failure
+    /// stops that replica's thread, as if its machine had lost power.
     ///
     /// # Panics
     ///
@@ -384,9 +379,12 @@ where
             .flat_map(|(r, _)| r.rcvd().keys().map(|id| id.client().0 + 1))
             .max()
             .unwrap_or(0);
-        let mut svc = Self::start_replicas(
+        let mut svc = Self::start_nodes(
             config,
-            replicas.into_iter().map(|(r, s)| (r, Some(s))).collect(),
+            replicas
+                .into_iter()
+                .map(|(r, s)| Node::new(r, Some(s)))
+                .collect(),
         );
         svc.skip_client_ids_below(floor);
         svc
@@ -410,16 +408,17 @@ where
         }
     }
 
-    fn start_replicas(config: RuntimeConfig, replicas: Vec<ReplicaSlot<T>>) -> Self {
+    fn start_nodes(config: RuntimeConfig, nodes: Vec<Node<T>>) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         let n = config.n_replicas;
         let (net_tx, net_rx) = unbounded::<NetInput<T>>();
         let client_reg: ClientRegistry<T::Value> = std::sync::Arc::new(Mutex::new(Vec::new()));
 
-        // Replica threads.
+        // Replica threads. The in-process network never drops a link.
+        let links = vec![Link::Up; n];
         let mut replica_inputs = Vec::with_capacity(n);
         let mut replica_threads = Vec::with_capacity(n);
-        for (i, (mut rep, mut store)) in replicas.into_iter().enumerate() {
+        for (i, mut node) in nodes.into_iter().enumerate() {
             let (tx, rx) = unbounded::<ReplicaInput<T>>();
             replica_inputs.push(tx);
             let net = net_tx.clone();
@@ -429,33 +428,18 @@ where
             let m_requests = scope.counter("requests");
             let m_gossip_out = scope.counter("gossip_out");
             let tracer = config.tracer.clone();
+            let links = links.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("esds-replica-{i}"))
                 .spawn(move || {
                     let mut next_gossip = Instant::now() + interval;
-                    'run: loop {
+                    loop {
                         let now = Instant::now();
                         if now >= next_gossip {
-                            for p in 0..rep.n() as u32 {
-                                let p = ReplicaId(p);
-                                if p == rep.id() {
-                                    continue;
-                                }
-                                // poll_gossip paces batched strategies:
-                                // accumulating ticks produce no message.
-                                let Some(g) = rep.poll_gossip(p) else {
-                                    continue;
-                                };
-                                // Sync-before-release: everything this
-                                // envelope says was logged by the handler
-                                // that learned it, but a failing disk must
-                                // silence the replica, not let it keep
-                                // gossiping facts it can no longer keep.
-                                if let Some(st) = store.as_mut() {
-                                    if st.persist(&mut rep).is_err() {
-                                        break 'run;
-                                    }
-                                }
+                            let Ok(outbox) = node.on_tick(&links) else {
+                                break;
+                            };
+                            for (p, g) in outbox {
                                 m_gossip_out.inc();
                                 let _ = net.send(NetInput::Msg(NetMsg {
                                     to: Endpoint::Replica(p),
@@ -480,10 +464,11 @@ where
                                         esds_obs::Stage::ReplicaAccept,
                                     );
                                 }
-                                rep.on_request(m.desc)
+                                node.on_request(m.desc)
                             }
-                            ReplicaInput::Gossip(g) => rep.on_gossip_envelope(*g),
+                            ReplicaInput::Gossip(g) => node.on_gossip(*g),
                             ReplicaInput::Inspect(tx) => {
+                                let rep = node.replica();
                                 let _ = tx.send(ReplicaSnapshot {
                                     order: rep.local_order(),
                                     stable_everywhere: rep.stable_everywhere().clone(),
@@ -493,9 +478,10 @@ where
                                         .map(|(id, d)| (*id, d.op.clone()))
                                         .collect(),
                                 });
-                                Vec::new()
+                                continue;
                             }
                             ReplicaInput::CountUnstable(filter, tx) => {
+                                let rep = node.replica();
                                 let n = rep
                                     .rcvd()
                                     .iter()
@@ -504,21 +490,14 @@ where
                                     })
                                     .count();
                                 let _ = tx.send(n);
-                                Vec::new()
+                                continue;
                             }
                             ReplicaInput::Shutdown => break,
                         };
-                        // Persist (append + sync) everything the handler
-                        // changed *before* releasing its responses: a
-                        // crash after this line re-delivers the answered
-                        // value from disk; a crash before it only loses
-                        // operations nobody was told about. On a storage
-                        // error the replica is dead — effects dropped.
-                        if let Some(st) = store.as_mut() {
-                            if st.persist(&mut rep).is_err() {
-                                break 'run;
-                            }
-                        }
+                        // A dead node (failed persist) stops; its effects drop.
+                        let Ok(effects) = effects else {
+                            break;
+                        };
                         for e in effects {
                             let _ = net.send(NetInput::Msg(NetMsg {
                                 to: Endpoint::Client(e.client),
@@ -526,7 +505,7 @@ where
                             }));
                         }
                     }
-                    rep
+                    node.into_replica()
                 })
                 .expect("spawn replica thread");
             replica_threads.push(handle);

@@ -51,7 +51,7 @@ pub use barrier::{
 pub use checker::{check_converged, RecordedResponse, TraceChecker, TraceViolation};
 pub use reference::{replay_serial, ReferenceService};
 pub use streaming::{
-    fold_digest, order_digest, AuditCertificate, AuditConfig, AuditEvent, AuditResult, AuditStatus,
-    AuditViolation, StreamingChecker,
+    final_prefix, fold_digest, order_digest, AuditCertificate, AuditConfig, AuditEvent,
+    AuditResult, AuditStatus, AuditViolation, StreamingChecker,
 };
 pub use users::Users;

@@ -103,6 +103,19 @@ pub fn order_digest(ids: &[OpId]) -> u64 {
     ids.iter().fold(0, |d, &id| fold_digest(d, id))
 }
 
+/// The **position-final prefix** of a label order: `order` truncated just
+/// past its last operation `stable_everywhere` accepts (every position up
+/// to it is final, tentative operations included). The watermark every
+/// audit tap feeds to [`StreamingChecker::on_final_prefix`].
+pub fn final_prefix(mut order: Vec<OpId>, stable_everywhere: impl Fn(OpId) -> bool) -> Vec<OpId> {
+    let solid = order
+        .iter()
+        .rposition(|id| stable_everywhere(*id))
+        .map_or(0, |i| i + 1);
+    order.truncate(solid);
+    order
+}
+
 /// One event of the audited stream, in the order the service emits them.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AuditEvent<O, V> {
@@ -522,6 +535,25 @@ impl<T: SerialDataType> StreamingChecker<T> {
         }
         self.try_retire();
         Ok(())
+    }
+
+    /// Feeds a polled [`final_prefix`]: its part past what already
+    /// stabilized becomes `Stabilize` events. A poll shorter than, or
+    /// ordered differently from, the stabilized prefix (a replica fresh
+    /// from a crash relearning labels) is skipped; a later one feeds the
+    /// missed suffix.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamingChecker::on_stabilize`].
+    pub fn on_final_prefix(&mut self, prefix: &[OpId]) -> AuditResult {
+        let fed = self.stabilized_total as usize;
+        if prefix.len() < fed || order_digest(&prefix[..fed]) != self.stab_digest {
+            return Ok(());
+        }
+        prefix[fed..]
+            .iter()
+            .try_for_each(|&id| self.on_stabilize(id))
     }
 
     /// Records a response: the Theorem 5.8 / Corollary 5.9 value check

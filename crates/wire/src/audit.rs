@@ -14,9 +14,7 @@
 use std::time::Duration;
 
 use esds_core::{KeyedDataType, OpDescriptor, OpId, SerialDataType};
-use esds_spec::{
-    fold_digest, AuditCertificate, AuditConfig, AuditResult, AuditStatus, StreamingChecker,
-};
+use esds_spec::{AuditCertificate, AuditConfig, AuditResult, AuditStatus, StreamingChecker};
 
 use crate::codec::Wire;
 use crate::sharded::ShardedWireService;
@@ -37,10 +35,6 @@ use crate::sharded::ShardedWireService;
 #[derive(Clone, Debug)]
 pub struct ShardedWireAuditor<T: SerialDataType> {
     checkers: Vec<StreamingChecker<T>>,
-    fed: Vec<usize>,
-    /// Per-shard chain digest of the fed watermark, guarding against
-    /// transiently re-ordered estimates while a node recovers.
-    fed_digest: Vec<u64>,
 }
 
 /// A violation tagged with the shard whose audit found it.
@@ -58,8 +52,6 @@ impl<T: SerialDataType + Clone> ShardedWireAuditor<T> {
             checkers: (0..n_shards)
                 .map(|_| StreamingChecker::with_config(dt.clone(), cfg))
                 .collect(),
-            fed: vec![0; n_shards as usize],
-            fed_digest: vec![0; n_shards as usize],
         }
     }
 
@@ -86,16 +78,6 @@ impl<T: SerialDataType + Clone> ShardedWireAuditor<T> {
         witness: Option<Vec<OpId>>,
     ) -> AuditResult {
         self.checkers[shard as usize].on_response(id, value, witness)
-    }
-
-    /// Feeds a shard's eventual order directly (trace replay drivers;
-    /// live deployments use [`ShardedWireAuditor::sync_watermarks`]).
-    ///
-    /// # Errors
-    ///
-    /// The first violation, latched in that shard's checker.
-    pub fn observe_stabilize(&mut self, shard: u32, id: OpId) -> AuditResult {
-        self.checkers[shard as usize].on_stabilize(id)
     }
 
     /// The per-shard audit statuses.
@@ -131,9 +113,10 @@ where
     T::State: Send,
 {
     /// Polls every shard's stable watermark off the live deployment and
-    /// feeds the newly-final suffix to that shard's checker. Shards
-    /// that cannot answer within `timeout` are skipped this round (the
-    /// watermark is final; the next poll feeds the missed suffix).
+    /// feeds it to that shard's checker
+    /// ([`StreamingChecker::on_final_prefix`]). Shards that cannot answer
+    /// within `timeout` are skipped this round (the watermark is final;
+    /// the next poll feeds the missed suffix).
     ///
     /// # Errors
     ///
@@ -143,28 +126,11 @@ where
         svc: &ShardedWireService<T>,
         timeout: Duration,
     ) -> Result<(), ShardViolation> {
-        for shard in 0..self.checkers.len() {
-            let Some(watermark) = svc.stable_watermark(shard as u32, timeout) else {
-                continue;
-            };
-            // A node mid-recovery can transiently report an estimate
-            // shorter than, or ordered differently from, what was fed:
-            // skip such polls (digest guard); a later poll catches up.
-            if watermark.len() < self.fed[shard] {
-                continue;
-            }
-            let fed = watermark[..self.fed[shard]]
-                .iter()
-                .fold(0, |d, &id| fold_digest(d, id));
-            if fed != self.fed_digest[shard] {
-                continue;
-            }
-            for &id in &watermark[self.fed[shard]..] {
-                self.checkers[shard]
-                    .on_stabilize(id)
+        for (shard, checker) in self.checkers.iter_mut().enumerate() {
+            if let Some(watermark) = svc.stable_watermark(shard as u32, timeout) {
+                checker
+                    .on_final_prefix(&watermark)
                     .map_err(|v| (shard as u32, v))?;
-                self.fed[shard] += 1;
-                self.fed_digest[shard] = fold_digest(self.fed_digest[shard], id);
             }
         }
         Ok(())

@@ -364,26 +364,16 @@ where
 
     /// One shard's **final watermark**: the first node's label order
     /// (shard-local ids) truncated just past the last operation that
-    /// node knows is stable at every node. That truncated prefix is the
-    /// final prefix of the shard's eventual total order — once an op is
-    /// stable everywhere, every node's clock has passed its label, so
-    /// nothing can ever be ordered at or before its position again —
-    /// and, crucially, it is *gap-free*: tentative operations
-    /// interleaved before the fence are included, because their
-    /// positions are final even though their own stability knowledge
-    /// has not yet completed. This is the `Stabilize` feed for a
-    /// streaming audit ([`crate::ShardedWireAuditor`]). `None` if the
-    /// node cannot answer within `timeout` (shutting down or wedged).
+    /// node knows is stable at every node ([`esds_spec::final_prefix`]:
+    /// final and gap-free). This is the `Stabilize` feed for a streaming
+    /// audit ([`crate::ShardedWireAuditor`]). `None` if the node cannot
+    /// answer within `timeout` (shutting down or wedged).
     pub fn stable_watermark(&self, shard: u32, timeout: Duration) -> Option<Vec<OpId>> {
         let nodes = &self.shards.get(shard as usize)?.nodes;
         let snap = nodes.first()?.stability(timeout)?;
-        let mut order = snap.order;
-        let solid = order
-            .iter()
-            .rposition(|id| snap.stable_everywhere.contains(id))
-            .map_or(0, |i| i + 1);
-        order.truncate(solid);
-        Some(order)
+        Some(esds_spec::final_prefix(snap.order, |id| {
+            snap.stable_everywhere.contains(&id)
+        }))
     }
 
     /// A client with the next unused identity and a current view of the

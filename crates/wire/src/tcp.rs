@@ -10,12 +10,14 @@
 //! Design notes:
 //!
 //! * **Same state machines as the simulator.** The node threads only move
-//!   framed bytes; every protocol decision lives in `esds-alg`, so the
+//!   framed bytes; every protocol decision — sync-before-release and
+//!   peer-link rewinds included — lives in [`esds_alg::Node`], so the
 //!   safety results validated under the simulator carry over.
 //! * **Connection loss is message loss.** The algorithm tolerates lost and
 //!   duplicated messages (paper §9.3), so a dropped gossip connection is
-//!   simply re-dialed at the next gossip tick, and front ends re-send
-//!   pending requests (footnote 3 of the paper).
+//!   simply re-dialed at the next gossip tick (reported to the node as
+//!   [`Link::New`]), and front ends re-send pending requests (footnote 3
+//!   of the paper).
 //! * **Corrupt frames kill the connection**, not the node — see
 //!   [`crate::frame`] on why corruption must not be absorbed.
 
@@ -30,8 +32,8 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
-    FrontEnd, GossipEnvelope, Persistence, RecoveryStub, RelayPolicy, Replica, ReplicaConfig,
-    RequestMsg,
+    FrontEnd, GossipEnvelope, Link, Node, Persistence, RecoveryStub, RelayPolicy, Replica,
+    ReplicaConfig, RequestMsg,
 };
 use esds_core::{ClientId, OpId, ReplicaId, RoutingTable, SerialDataType, ShardedOpId};
 use esds_obs::Stage;
@@ -195,16 +197,15 @@ where
         config: &TcpClusterConfig,
     ) -> Self {
         let rep = Replica::new(dt, id, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, None, None)
+        Self::spawn_node(Node::new(rep, None), listener, addrs, config, None)
     }
 
     /// Spawns a **durable** node over a pre-built replica and its
     /// persistence backend — the restart-from-disk entry point: open the
     /// replica's store (recovering whatever survives on disk), then hand
-    /// the recovered replica here. Every mutating input is persisted
-    /// (synced) before its response or gossip leaves the node; a persist
-    /// failure stops the core thread, exactly as if the machine had lost
-    /// power.
+    /// the recovered replica here. The [`Node`] syncs every input before
+    /// its response or gossip leaves; a persist failure stops the core
+    /// thread, exactly as if the machine had lost power.
     ///
     /// # Panics
     ///
@@ -217,7 +218,7 @@ where
         addrs: AddrTable,
         config: &TcpClusterConfig,
     ) -> Self {
-        Self::spawn_node(rep, listener, addrs, config, None, Some(store))
+        Self::spawn_node(Node::new(rep, Some(store)), listener, addrs, config, None)
     }
 
     /// Like [`TcpReplicaNode::spawn`], but shard-aware: `ShardedRequest`
@@ -234,7 +235,7 @@ where
         shard: ShardCtx,
     ) -> Self {
         let rep = Replica::new(dt, id, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, Some(shard), None)
+        Self::spawn_node(Node::new(rep, None), listener, addrs, config, Some(shard))
     }
 
     /// Spawns a node recovering from a crash (paper §9.3): the replica
@@ -253,18 +254,17 @@ where
         config: &TcpClusterConfig,
     ) -> Self {
         let rep = Replica::recover(dt, stub, config.n_replicas, config.replica);
-        Self::spawn_node(rep, listener, addrs, config, None, None)
+        Self::spawn_node(Node::new(rep, None), listener, addrs, config, None)
     }
 
     fn spawn_node(
-        rep: Replica<T>,
+        node: Node<T>,
         listener: TcpListener,
         addrs: AddrTable,
         config: &TcpClusterConfig,
         shard: Option<ShardCtx>,
-        store: Option<Box<dyn Persistence<T>>>,
     ) -> Self {
-        let id = rep.id();
+        let id = node.replica().id();
         let addr = listener.local_addr().expect("listener address");
         let stop = Arc::new(AtomicBool::new(false));
         let (input_tx, input_rx) = unbounded::<NodeInput<T>>();
@@ -281,14 +281,13 @@ where
             config.obs.registry.clone(),
         );
         let core = spawn_core::<T>(
-            rep,
+            node,
             config.clone(),
             addrs,
             input_rx,
             clients,
             stop.clone(),
             shard,
-            store,
         );
 
         TcpReplicaNode {
@@ -408,19 +407,15 @@ fn read_connection<T>(
                         Ok(m) => m,
                         Err(_) => break 'conn, // malformed payload: drop connection
                     };
-                    match msg {
+                    let input = match msg {
                         WireMessage::Hello(HelloId::Client(c)) => {
                             if let Ok(w) = stream.try_clone() {
                                 clients.lock().insert(c, w);
                                 registered = Some(c);
                             }
+                            None
                         }
-                        WireMessage::Hello(HelloId::Replica(_)) => {}
-                        WireMessage::Request(m) => {
-                            if input_tx.send(NodeInput::Request(m)).is_err() {
-                                break 'conn;
-                            }
-                        }
+                        WireMessage::Request(m) => Some(NodeInput::Request(m)),
                         WireMessage::ShardedRequest(m) => {
                             // A non-sharded node cannot version-check; the
                             // frame is a protocol error, drop the conn.
@@ -435,69 +430,38 @@ fn read_connection<T>(
                                     // routed under the table this shard
                                     // serves, so the key belongs here.
                                     ctx.globals.lock().insert(m.desc.id, m.global);
-                                    if input_tx
-                                        .send(NodeInput::Request(RequestMsg { desc: m.desc }))
-                                        .is_err()
-                                    {
-                                        break 'conn;
-                                    }
+                                    Some(NodeInput::Request(RequestMsg { desc: m.desc }))
                                 }
                                 Some(table) => {
                                     // NAK before the replica ever sees the
-                                    // descriptor. Written through the
-                                    // registered-clients lock so the frame
-                                    // cannot interleave with a response the
-                                    // core thread is writing to the same
-                                    // stream. An unregistered sender (no
-                                    // Hello yet) just gets nothing — its
-                                    // retry loop will resend.
-                                    let mut out = BytesMut::new();
+                                    // descriptor.
                                     let nak: WireMessage<T::Operator, T::Value> =
                                         WireMessage::ShardedResponse(ShardedResponseMsg::Nak {
                                             global: m.global,
                                             table,
                                         });
-                                    encode_message(&nak, &mut out);
-                                    if let Some(c) = registered {
-                                        let mut guard = clients.lock();
-                                        if let Some(w) = guard.get_mut(&c) {
-                                            let _ = w.write_all(&out);
-                                        }
-                                    }
+                                    reply(&clients, registered, &nak);
+                                    None
                                 }
                             }
                         }
                         WireMessage::Gossip(g) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
+                            Some(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
                         }
                         WireMessage::GossipBatched(b) => {
-                            if input_tx
-                                .send(NodeInput::Gossip(GossipEnvelope::Batched(b)))
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
+                            Some(NodeInput::Gossip(GossipEnvelope::Batched(b)))
                         }
                         WireMessage::StabilityQuery => {
-                            // Answered from the reader thread: the snapshot
-                            // is fetched over the core's input channel (so
-                            // it is consistent) and written back through
-                            // the registered-clients lock (so the frame
-                            // cannot interleave with a response the core
-                            // thread is writing). A dropped or timed-out
-                            // probe is simply not answered — the client's
-                            // barrier loop re-queries.
+                            // Answered from the reader thread with a
+                            // snapshot fetched over the core's input
+                            // channel (so it is consistent). A dropped or
+                            // timed-out probe is simply not answered — the
+                            // client's barrier loop re-queries.
                             let (tx, rx) = crossbeam::channel::bounded(1);
                             if input_tx.send(NodeInput::Inspect(tx)).is_err() {
                                 break 'conn;
                             }
                             if let Ok(snap) = rx.recv_timeout(Duration::from_secs(5)) {
-                                let mut out = BytesMut::new();
                                 let info: WireMessage<T::Operator, T::Value> =
                                     WireMessage::StabilityInfo(StabilityInfoMsg {
                                         order: snap.order,
@@ -506,39 +470,31 @@ fn read_connection<T>(
                                             .into_iter()
                                             .collect(),
                                     });
-                                encode_message(&info, &mut out);
-                                if let Some(c) = registered {
-                                    let mut guard = clients.lock();
-                                    if let Some(w) = guard.get_mut(&c) {
-                                        let _ = w.write_all(&out);
-                                    }
-                                }
+                                reply(&clients, registered, &info);
                             }
+                            None
                         }
                         WireMessage::MetricsQuery => {
                             // Answered straight from the reader thread:
                             // the registry is lock-free to read and
                             // process-global, so no core round-trip is
-                            // needed. Written through the registered-
-                            // clients lock like every other reply. A
-                            // node running with metrics disabled answers
-                            // an empty snapshot rather than erroring, so
-                            // pollers need not know the server's config.
-                            let mut out = BytesMut::new();
+                            // needed. A node running with metrics disabled
+                            // answers an empty snapshot rather than
+                            // erroring, so pollers need not know the
+                            // server's config.
                             let info: WireMessage<T::Operator, T::Value> =
                                 WireMessage::MetricsInfo(registry.snapshot());
-                            encode_message(&info, &mut out);
-                            if let Some(c) = registered {
-                                let mut guard = clients.lock();
-                                if let Some(w) = guard.get_mut(&c) {
-                                    let _ = w.write_all(&out);
-                                }
-                            }
+                            reply(&clients, registered, &info);
+                            None
                         }
+                        WireMessage::Hello(HelloId::Replica(_)) => None,
                         WireMessage::Response(_)
                         | WireMessage::ShardedResponse(_)
                         | WireMessage::StabilityInfo(_)
-                        | WireMessage::MetricsInfo(_) => {} // nonsensical inbound; ignore
+                        | WireMessage::MetricsInfo(_) => None, // nonsensical inbound; ignore
+                    };
+                    if input.is_some_and(|i| input_tx.send(i).is_err()) {
+                        break 'conn;
                     }
                 }
                 Ok(None) => break,
@@ -560,16 +516,31 @@ fn read_connection<T>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Answers the client registered on a connection from its reader thread,
+/// through the registered-clients lock so the frame cannot interleave
+/// with a response the core thread is writing to the same stream. An
+/// unregistered sender (no `Hello` yet) gets nothing; it re-asks.
+fn reply<O: Wire, V: Wire>(
+    clients: &Mutex<HashMap<ClientId, TcpStream>>,
+    to: Option<ClientId>,
+    msg: &WireMessage<O, V>,
+) {
+    let Some(c) = to else { return };
+    let mut out = BytesMut::new();
+    encode_message(msg, &mut out);
+    if let Some(w) = clients.lock().get_mut(&c) {
+        let _ = w.write_all(&out);
+    }
+}
+
 fn spawn_core<T>(
-    mut rep: Replica<T>,
+    mut node: Node<T>,
     config: TcpClusterConfig,
     addrs: AddrTable,
     input_rx: Receiver<NodeInput<T>>,
     clients: Arc<Mutex<HashMap<ClientId, TcpStream>>>,
     stop: Arc<AtomicBool>,
     shard: Option<ShardCtx>,
-    mut store: Option<Box<dyn Persistence<T>>>,
 ) -> JoinHandle<Replica<T>>
 where
     T: SerialDataType + Send + 'static,
@@ -577,8 +548,8 @@ where
     T::Value: Wire + Send,
     T::State: Send,
 {
-    let id = rep.id();
-    let n = rep.n();
+    let id = node.replica().id();
+    let n = node.replica().n();
     // Metric handles resolve to no-ops when the registry is disabled;
     // the per-tick gauge math below is additionally gated on
     // `obs_enabled` so the disabled path costs one predictable branch.
@@ -610,61 +581,52 @@ where
             let mut pending_stab: Vec<(OpId, String)> = Vec::new();
             let mut last_stable_n = 0usize;
             let mut last_advance = Instant::now();
-            'run: loop {
+            loop {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let now = Instant::now();
                 if now >= next_gossip {
-                    for (p, peer) in peers.iter_mut().enumerate() {
-                        let pid = ReplicaId(p as u32);
-                        if pid == id {
-                            continue;
-                        }
-                        // Dial before building: a new connection may
-                        // lead to a restarted, memory-less peer (or
-                        // follow frames lost with the old one), so the
-                        // delta state rewinds first and this very
-                        // envelope re-ships everything.
-                        let peer_addr = addrs.lock()[p];
-                        match connect_to_peer(peer, peer_addr, id) {
-                            Some(true) => rep.reset_watermark(pid),
-                            Some(false) => {}
-                            None => continue,
-                        }
-                        // poll_gossip paces batched gossip: a tick that
-                        // is still accumulating sends nothing.
-                        let Some(env) = rep.poll_gossip(pid) else {
-                            continue;
-                        };
-                        // Sync-before-release: a failing disk silences
-                        // the node before the envelope leaves it.
-                        if let Some(st) = store.as_mut() {
-                            if st.persist(&mut rep).is_err() {
-                                break 'run;
+                    // Dial before polling: a fresh connection is reported
+                    // as a new link, so this very tick's envelope to it
+                    // re-ships everything.
+                    let links: Vec<Link> = peers
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(p, peer)| {
+                            if p == id.0 as usize {
+                                return Link::Down;
                             }
-                        }
+                            let peer_addr = addrs.lock()[p];
+                            connect_to_peer(peer, peer_addr, id)
+                        })
+                        .collect();
+                    let Ok(outbox) = node.on_tick(&links) else {
+                        break;
+                    };
+                    for (pid, env) in outbox {
+                        let p = pid.0 as usize;
                         out.clear();
                         let msg: WireMessage<T::Operator, T::Value> = match env {
                             GossipEnvelope::Batched(b) => WireMessage::GossipBatched(b),
                             GossipEnvelope::Snapshot(g) => WireMessage::Gossip(g),
                         };
                         encode_message(&msg, &mut out);
-                        let sent = peer
+                        let sent = peers[p]
                             .as_mut()
                             .is_some_and(|(_, s)| s.write_all(&out).is_ok());
                         if sent {
                             m_peers[p].0.inc();
                             m_peers[p].1.add(out.len() as u64);
                         } else {
-                            // The write failed: what this envelope carried
-                            // is lost, so the delta state rewinds, and the
-                            // cleared slot re-dials at the next tick.
-                            *peer = None;
-                            rep.reset_watermark(pid);
+                            // The envelope is lost; the cleared slot
+                            // re-dials at the next tick.
+                            peers[p] = None;
+                            let _ = node.on_lost_write(pid);
                         }
                     }
                     if obs_enabled || !pending_stab.is_empty() {
+                        let rep = node.replica();
                         let stable_n = rep.stable_everywhere().len();
                         if stable_n > last_stable_n {
                             last_stable_n = stable_n;
@@ -704,30 +666,26 @@ where
                                 pending_stab.push((m.desc.id, ids));
                             }
                         }
-                        rep.on_request(m.desc)
+                        node.on_request(m.desc)
                     }
                     NodeInput::Gossip(g) => {
                         m_gossip_in.inc();
-                        rep.on_gossip_envelope(g)
+                        node.on_gossip(g)
                     }
                     NodeInput::Inspect(tx) => {
+                        let rep = node.replica();
                         let _ = tx.send(StabilitySnapshot {
                             order: rep.local_order(),
                             stable_everywhere: rep.stable_everywhere().clone(),
                         });
-                        Vec::new()
+                        continue;
                     }
                     NodeInput::Shutdown => break,
                 };
-                // Persist (append + sync) the handler's changes before
-                // any response frame is written — a crash after this
-                // point re-delivers the answered value from disk; a
-                // persist failure is the node's death, effects dropped.
-                if let Some(st) = store.as_mut() {
-                    if st.persist(&mut rep).is_err() {
-                        break 'run;
-                    }
-                }
+                // A dead node (failed persist) stops; its effects drop.
+                let Ok(effects) = effects else {
+                    break;
+                };
                 for e in effects {
                     m_responses.inc();
                     if tracer.is_enabled() {
@@ -761,7 +719,7 @@ where
                     }
                 }
             }
-            rep
+            node.into_replica()
         })
         .expect("spawn core")
 }
@@ -769,24 +727,28 @@ where
 /// Ensures `slot` holds a live outbound connection to the peer at `addr`,
 /// dialing (and introducing `me`) when it is empty or was dialed to an
 /// address the table no longer names — the peer restarted elsewhere.
-/// Returns whether the connection is new, or `None` if the peer is
-/// unreachable (the slot stays empty for a retry at the next tick).
+/// Returns the link: [`Link::New`] if just dialed, [`Link::Down`] if the
+/// peer is unreachable (the slot stays empty for a retry next tick).
 fn connect_to_peer(
     slot: &mut Option<(SocketAddr, TcpStream)>,
     addr: SocketAddr,
     me: ReplicaId,
-) -> Option<bool> {
+) -> Link {
     if slot.as_ref().is_some_and(|(dialed, _)| *dialed == addr) {
-        return Some(false);
+        return Link::Up;
     }
     *slot = None;
-    let mut s = TcpStream::connect_timeout(&addr, Duration::from_millis(200)).ok()?;
+    let Ok(mut s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) else {
+        return Link::Down;
+    };
     let _ = s.set_nodelay(true);
     let mut hello = BytesMut::new();
     encode_message::<NoOp, NoOp>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
-    s.write_all(&hello).ok()?;
+    if s.write_all(&hello).is_err() {
+        return Link::Down;
+    }
     *slot = Some((addr, s));
-    Some(true)
+    Link::New
 }
 
 /// Placeholder operator/value type for frames that carry neither (Hello).
