@@ -43,6 +43,6 @@ pub use messages::{BatchedGossipMsg, GossipEnvelope, GossipMsg, RequestMsg, Resp
 pub use node::{Dead, Link, Node, Outbox};
 pub use persist::Persistence;
 pub use replica::{
-    GossipStrategy, PrefixEntry, RecoveryStub, Replica, ReplicaConfig, ReplicaStats, RespondEffect,
-    RestoreImage, ValueStrategy, WalDelta,
+    GossipStrategy, PrefixEntry, Replica, ReplicaConfig, ReplicaStats, RespondEffect, RestoreImage,
+    ValueStrategy, WalDelta,
 };

@@ -59,9 +59,18 @@ pub struct Node<T: SerialDataType> {
 }
 
 impl<T: SerialDataType> Node<T> {
-    /// A node around `replica`, persisting through `store` if given (the
-    /// replica must then be [`crate::ReplicaConfig::durable`]).
+    /// A node around `replica`, persisting through `store` if given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` is given and the replica is not
+    /// [`crate::ReplicaConfig::durable`]: it would track no WAL delta, so
+    /// the backend would persist nothing.
     pub fn new(replica: Replica<T>, store: Option<Box<dyn Persistence<T>>>) -> Self {
+        assert!(
+            store.is_none() || replica.config().durable,
+            "a persistence backend needs a durable replica (config.replica.durable)"
+        );
         Node {
             replica,
             store,
@@ -302,6 +311,18 @@ mod tests {
         let log = log.lock().unwrap();
         assert_eq!(log.iter().map(|d| d.admitted.len()).sum::<usize>(), 2);
         assert_eq!(log.iter().map(|d| d.labels.len()).sum::<usize>(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "durable replica")]
+    fn backend_for_a_volatile_replica_is_refused() {
+        let rep = Replica::new(Counter, ReplicaId(0), 2, ReplicaConfig::default());
+        let disk = FlakyDisk {
+            calls: 0,
+            fail_at: None,
+            log: Log::default(),
+        };
+        let _ = Node::new(rep, Some(Box::new(disk)));
     }
 
     fn batched_pair() -> (Node<Counter>, Node<Counter>) {

@@ -215,9 +215,9 @@ impl WalDelta {
     }
 }
 
-/// One operation of the snapshot prefix in a [`RestoreImage`]: its final
-/// position (label), fixed value (Lemma 10.2), and the stability
-/// knowledge that held when the snapshot was cut.
+/// One operation of the prefix of a [`RestoreImage`]: its final position
+/// (label), fixed value (Lemma 10.2), and the stability knowledge that
+/// held when the image was cut.
 #[derive(Clone, Debug)]
 pub struct PrefixEntry<T: SerialDataType> {
     /// The operation.
@@ -226,7 +226,7 @@ pub struct PrefixEntry<T: SerialDataType> {
     pub label: Label,
     /// Its memoized value (`mv_r`).
     pub value: T::Value,
-    /// Stable at the snapshotting replica (⇒ done at every replica,
+    /// Stable at the imaged replica (⇒ done at every replica,
     /// Invariant 7.2 — both facts are monotone, so restoring them is
     /// sound even though the knowledge is stale).
     pub stable_here: bool,
@@ -234,10 +234,11 @@ pub struct PrefixEntry<T: SerialDataType> {
     pub stable_everywhere: bool,
 }
 
-/// Everything [`Replica::restore`] needs to rebuild a replica from disk:
-/// the snapshot's prefix image plus the write-ahead log's unstable
-/// suffix. Produced by a persistence layer (e.g. `esds-store`) from a
-/// snapshot + log replay.
+/// What carries a replica across a restart (paper §9.3), and the only
+/// input of [`Replica::restore`]: the §10.1 memo prefix, frozen at the
+/// stable fence (Lemma 10.2), plus the suffix past it. Cut by
+/// [`Replica::image`] (a store writes the prefix as a snapshot and the
+/// suffix as a log) or by [`Replica::crash`] (what a volatile crash keeps).
 #[derive(Clone, Debug)]
 pub struct RestoreImage<T: SerialDataType> {
     /// The replica's identity.
@@ -245,18 +246,21 @@ pub struct RestoreImage<T: SerialDataType> {
     /// Label-counter floor: at least one past every label this replica
     /// ever released, so fresh labels never collide with pre-crash ones.
     pub next_counter: u64,
-    /// The memoized prefix at the snapshot fence, in strict label order.
+    /// The memoized prefix at the fence, in strict label order.
     pub prefix: Vec<PrefixEntry<T>>,
     /// `ms_r`: the state after applying the prefix.
     pub state: T::State,
-    /// Descriptors of logged operations past the fence (the unstable
-    /// suffix); they are re-admitted and re-done with their pre-crash
-    /// labels once recovery closes.
+    /// Descriptors of operations past the fence (the unstable suffix);
+    /// they are re-admitted and re-done with their pre-crash labels once
+    /// recovery closes.
     pub suffix_rcvd: Vec<OpDescriptor<T::Operator>>,
-    /// Logged label minima of suffix operations, whichever replica minted
-    /// them; they seed `persisted_labels` so the recovered replica neither
-    /// re-mints nor contradicts a label it already released (§9.3), and
-    /// they floor its label generator.
+    /// Label minima of operations past the fence, whichever replica
+    /// minted them. They seed `persisted_labels` so the restored replica
+    /// neither re-mints nor contradicts a label it already released
+    /// (§9.3), and they floor its label generator. Without them a
+    /// restored replica could assign a *larger* label to an operation
+    /// whose system-wide minimum it held, changing the eventual total
+    /// order retroactively.
     pub suffix_labels: Vec<(OpId, Label)>,
 }
 
@@ -287,28 +291,15 @@ pub struct ReplicaStats {
     pub eager_applies: u64,
     /// Gossip messages received.
     pub gossip_in: u64,
+    /// Gossip messages refused because their sender names no peer (out
+    /// of range, or this replica itself); not counted in `gossip_in`.
+    pub gossip_refused: u64,
     /// Gossip messages produced.
     pub gossip_out: u64,
     /// Total approximate bytes of produced gossip.
     pub gossip_out_bytes: u64,
     /// Descriptors purged by §10.2 local compaction ([`Replica::compact`]).
     pub compacted: u64,
-}
-
-/// What a crashed replica retains in stable storage (paper §9.3): its label
-/// counter and the locally-generated labels that were system minima.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RecoveryStub {
-    /// The replica's identity.
-    pub id: ReplicaId,
-    /// Label-counter floor, so fresh labels never collide with pre-crash
-    /// ones.
-    pub next_counter: u64,
-    /// Locally-generated labels that were the replica's current minima:
-    /// without these, a recovered replica could assign a *larger* label to
-    /// an operation whose system-wide minimum it previously held, changing
-    /// the eventual total order retroactively.
-    pub local_min_labels: Vec<(OpId, Label)>,
 }
 
 /// Memoization state (paper §10.1, `ESDS-Alg′`): the *solid* prefix of the
@@ -422,7 +413,8 @@ pub struct Replica<T: SerialDataType> {
     /// [`ReplicaConfig::durable`]); see [`WalDelta`].
     wal_delta: Option<WalDelta>,
     /// Labels restored from stable storage after a crash (see
-    /// [`RecoveryStub`]); consulted by `do_it`.
+    /// [`RestoreImage::suffix_labels`]); consulted by `do_it` and by
+    /// gossip merges.
     persisted_labels: BTreeMap<OpId, Label>,
     /// Peers not yet heard from since recovery; `Some` = still recovering
     /// (the replica neither labels nor responds until this empties).
@@ -488,40 +480,34 @@ impl<T: SerialDataType> Replica<T> {
         }
     }
 
-    /// Recreates a replica from its stable-storage stub after a crash
-    /// (paper §9.3). The replica stays passive — no labeling, no responses,
-    /// no gossip content — until it has received gossip from every peer.
-    pub fn recover(dt: T, stub: RecoveryStub, n: usize, config: ReplicaConfig) -> Self {
-        let mut r = Replica::new(dt, stub.id, n, config);
-        r.rejoin(stub.next_counter, stub.local_min_labels);
-        r
-    }
-
-    /// Rebuilds a replica from a durable snapshot + log image after a
-    /// crash — the full-persistence variant of [`Replica::recover`].
+    /// Rebuilds a replica from a [`RestoreImage`] after a crash (paper
+    /// §9.3) — the only way back, whatever cut the image.
     ///
     /// The prefix is installed as the §10.1 memo (order, values, state)
     /// with its recorded stability knowledge; prefix descriptors are
-    /// *not* restored (the snapshot materialized their effects — this is
+    /// *not* restored (the image materialized their effects — this is
     /// exactly the post-[`Replica::compact`] shape, which every code path
     /// already tolerates). Suffix descriptors are re-admitted, and suffix
     /// labels seed `persisted_labels` so `do_it` re-assigns the pre-crash
-    /// minima instead of minting fresh labels — and every fresh label is
-    /// minted above them (see `rejoin`). Like
-    /// [`Replica::recover`], the result stays passive until it has heard
-    /// gossip from every peer and every operation it labeled pre-crash is
-    /// re-received (here: immediately, since the log holds the suffix
-    /// descriptors).
+    /// minima instead of minting fresh labels; every fresh label is minted
+    /// above all of them — peers' labels included — so no new operation
+    /// can be ordered before one labeled pre-crash.
+    ///
+    /// The replica stays passive — no labeling, no responses, no gossip
+    /// content — until it has heard gossip from every peer and every
+    /// operation it holds a suffix label for is back in `rcvd`.
     ///
     /// # Panics
     ///
-    /// Panics if `config` disables memoization or selects
-    /// [`ValueStrategy::EagerCommute`]; if the prefix is not in strictly
-    /// increasing label order; or on the [`Replica::new`] conditions.
+    /// Panics if the prefix is non-empty and `config` disables
+    /// memoization or selects [`ValueStrategy::EagerCommute`]; if the
+    /// prefix is not in strictly increasing label order; or on the
+    /// [`Replica::new`] conditions.
     pub fn restore(dt: T, img: RestoreImage<T>, n: usize, config: ReplicaConfig) -> Self {
         assert!(
-            config.memoize && config.value_strategy == ValueStrategy::Recompute,
-            "restore rebuilds the §10.1 memo prefix: it requires memoize + Recompute"
+            img.prefix.is_empty()
+                || (config.memoize && config.value_strategy == ValueStrategy::Recompute),
+            "restore rebuilds the §10.1 memo prefix: a non-empty prefix requires memoize + Recompute"
         );
         let mut r = Replica::new(dt, img.id, n, config);
         let here = r.idx(img.id);
@@ -530,7 +516,7 @@ impl<T: SerialDataType> Replica<T> {
         for e in &img.prefix {
             assert!(
                 prev.is_none_or(|p| p < e.label),
-                "snapshot prefix must be in strictly increasing label order"
+                "image prefix must be in strictly increasing label order"
             );
             prev = Some(e.label);
             r.labels.merge_min(e.id, e.label);
@@ -547,31 +533,37 @@ impl<T: SerialDataType> Replica<T> {
             // Knowledge outlives storage (§10.2): the handshake must keep
             // covering prefix ids even though their descriptors are gone.
             r.rcvd_summary.insert(e.id);
-        }
-        for e in &img.prefix {
             if e.stable_everywhere {
                 for i in 0..n {
                     r.mark_stable_at(e.id, i);
                 }
             }
         }
-        let memo = r.memo.as_mut().expect("memoize asserted above");
-        memo.order = img.prefix.iter().map(|e| e.id).collect();
-        memo.last_label = img.prefix.last().map(|e| e.label);
-        memo.values = img.prefix.iter().map(|e| (e.id, e.value.clone())).collect();
-        memo.state = img.state;
-        let prefix_ids: BTreeSet<OpId> = img.prefix.iter().map(|e| e.id).collect();
+        if let Some(memo) = &mut r.memo {
+            memo.order = img.prefix.iter().map(|e| e.id).collect();
+            memo.last_label = img.prefix.last().map(|e| e.label);
+            memo.values = img.prefix.iter().map(|e| (e.id, e.value.clone())).collect();
+            memo.state = img.state;
+        }
         for d in img.suffix_rcvd {
             r.admit(d);
         }
-        // Prefix labels are frozen (Lemma 10.2) — a logged label for a
-        // prefix op is a stale duplicate, not a clamp to keep.
-        r.rejoin(
-            img.next_counter,
-            img.suffix_labels
-                .into_iter()
-                .filter(|(id, _)| !prefix_ids.contains(id)),
-        );
+        // Enter the §9.3 recovery gate with the label floor. Prefix labels
+        // are frozen (Lemma 10.2) — a suffix label for a prefix op is a
+        // stale duplicate, not a clamp to keep.
+        r.gen = LabelGenerator::from_counter(img.id, img.next_counter);
+        for (id, l) in img.suffix_labels {
+            if r.memo.as_ref().is_some_and(|m| m.values.contains_key(&id)) {
+                continue;
+            }
+            r.gen.observe(l);
+            r.persisted_labels.insert(id, l);
+        }
+        let peers: BTreeSet<ReplicaId> = (0..n as u32)
+            .map(ReplicaId)
+            .filter(|p| *p != img.id)
+            .collect();
+        r.recovering = (!peers.is_empty()).then_some(peers);
         // The restore itself is already durable — drop its tracking.
         r.newly_done.clear();
         if let Some(w) = &mut r.wal_delta {
@@ -580,37 +572,71 @@ impl<T: SerialDataType> Replica<T> {
         r
     }
 
-    /// Enters the §9.3 recovery gate with what stable storage kept — the
-    /// label-counter floor and labels. `do_it` re-assigns the labels, and
-    /// every fresh label is minted above all of them — peers' labels in a
-    /// restored log included — so no new operation can be ordered before
-    /// one labeled pre-crash.
-    fn rejoin(&mut self, next_counter: u64, persisted: impl IntoIterator<Item = (OpId, Label)>) {
-        self.gen = LabelGenerator::from_counter(self.id, next_counter);
-        for (id, l) in persisted {
-            self.gen.observe(l);
-            self.persisted_labels.insert(id, l);
-        }
-        let peers: BTreeSet<ReplicaId> = (0..self.n as u32)
-            .map(ReplicaId)
-            .filter(|p| *p != self.id)
-            .collect();
-        self.recovering = (!peers.is_empty()).then_some(peers);
-    }
-
-    /// Simulates a crash with volatile memory: returns the stable-storage
-    /// stub; the caller discards the replica itself.
-    pub fn crash(&self) -> RecoveryStub {
-        let local_min_labels = self
-            .labels
-            .iter()
-            .filter(|(_, l)| l.replica == self.id)
-            .collect();
-        RecoveryStub {
+    /// Simulates a crash with volatile memory (paper §9.3): returns the
+    /// image stable storage keeps — an empty prefix at the type's initial
+    /// state, no suffix descriptors, the label-counter floor, and the
+    /// label minima this replica minted itself. The caller discards the
+    /// replica; [`Replica::restore`] brings it back.
+    pub fn crash(&self) -> RestoreImage<T> {
+        RestoreImage {
             id: self.id,
             next_counter: self.gen.next_counter(),
-            local_min_labels,
+            prefix: Vec::new(),
+            state: self.dt.initial_state(),
+            suffix_rcvd: Vec::new(),
+            suffix_labels: self
+                .labels
+                .iter()
+                .filter(|(_, l)| l.replica == self.id)
+                .collect(),
         }
+    }
+
+    /// Cuts the image at the §10.1 memo fence: every memoized operation
+    /// with its stability flags, the memo state, the label-counter floor,
+    /// and every descriptor and label past the fence. Because the memo
+    /// prefix is final (Lemma 10.2), cutting it needs no coordination with
+    /// gossip. `None` while the replica is recovering (its knowledge is
+    /// not yet trustworthy) or when memoization is off (there is no
+    /// fence).
+    pub fn image(&self) -> Option<RestoreImage<T>> {
+        if self.recovering.is_some() {
+            return None;
+        }
+        let memo = self.memo.as_ref()?;
+        let here = self.idx(self.id);
+        let prefix = memo
+            .order
+            .iter()
+            .map(|&id| PrefixEntry {
+                id,
+                label: self
+                    .labels
+                    .get(id)
+                    .finite()
+                    .expect("memoized ops are labeled"),
+                value: memo.values[&id].clone(),
+                stable_here: self.stable[here].contains(&id),
+                stable_everywhere: self.stable_everywhere.contains(&id),
+            })
+            .collect();
+        Some(RestoreImage {
+            id: self.id,
+            next_counter: self.gen.next_counter(),
+            prefix,
+            state: memo.state.clone(),
+            suffix_rcvd: self
+                .rcvd
+                .values()
+                .filter(|d| !memo.values.contains_key(&d.id))
+                .cloned()
+                .collect(),
+            suffix_labels: self
+                .labels
+                .iter()
+                .filter(|(id, _)| !memo.values.contains_key(id))
+                .collect(),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -715,22 +741,10 @@ impl<T: SerialDataType> Replica<T> {
             .unwrap_or_default()
     }
 
-    /// The label counter the next locally-minted label will draw from —
-    /// what a snapshot records so a recovered replica never re-mints a
-    /// released label (§9.3).
-    pub fn next_label_counter(&self) -> u64 {
-        self.gen.next_counter()
-    }
-
     /// The ids of the memoized prefix, in order (empty when memoization is
     /// off). Exposed for the §10.1 invariant checks.
     pub fn memo_order(&self) -> &[OpId] {
         self.memo.as_ref().map_or(&[], |m| &m.order)
-    }
-
-    /// The memoized state `ms_r` (None when memoization is off).
-    pub fn memo_state(&self) -> Option<&T::State> {
-        self.memo.as_ref().map(|m| &m.state)
     }
 
     /// The memoized value of `id`, if memoized.
@@ -787,7 +801,12 @@ impl<T: SerialDataType> Replica<T> {
 
     /// Handles `receive_{r'r}(⟨"gossip", R, D, L, S⟩)` (paper Fig. 7) and
     /// runs the internal actions to fixpoint.
+    /// Gossip whose sender names no peer is refused (see
+    /// [`ReplicaStats::gossip_refused`]).
     pub fn on_gossip(&mut self, g: GossipMsg<T::Operator>) -> Vec<RespondEffect<T::Value>> {
+        if self.refuses(g.from) {
+            return Vec::new();
+        }
         self.stats.gossip_in += 1;
         let GossipMsg {
             from,
@@ -990,11 +1009,15 @@ impl<T: SerialDataType> Replica<T> {
     /// ordinary [`Replica::on_gossip`] path. Duplicated messages are
     /// no-ops (summaries are monotone); lost messages stall only the
     /// `R`/`L` deltas, which [`Replica::reset_watermark`] at the sender
-    /// rewinds.
+    /// rewinds. A sender that names no peer is refused before any state
+    /// is kept for it.
     pub fn on_batched_gossip(
         &mut self,
         g: BatchedGossipMsg<T::Operator>,
     ) -> Vec<RespondEffect<T::Value>> {
+        if self.refuses(g.from) {
+            return Vec::new();
+        }
         let BatchedGossipMsg {
             from,
             rcvd,
@@ -1016,6 +1039,17 @@ impl<T: SerialDataType> Replica<T> {
             labels,
             stable: new_stable.iter().collect(),
         })
+    }
+
+    /// Counts and refuses gossip from `from` unless it is another replica
+    /// of this service: drivers forward gossip frames from any connection,
+    /// so a bad sender id must not reach [`Replica::idx`]'s panic.
+    fn refuses(&mut self, from: ReplicaId) -> bool {
+        let refused = from == self.id || from.0 as usize >= self.n;
+        if refused {
+            self.stats.gossip_refused += 1;
+        }
+        refused
     }
 
     /// Dispatches any replica-to-replica message to its handler.
@@ -1044,14 +1078,15 @@ impl<T: SerialDataType> Replica<T> {
     /// receivers only need `R` for their own `do_it`, which they have all
     /// performed.
     ///
-    /// Interaction with crash recovery (§9.3): a replica that loses its
-    /// volatile memory rebuilds `rcvd` from peers' gossip, so if **every**
-    /// peer compacted an operation the recovering replica cannot replay it
-    /// and would need a state-snapshot transfer instead. The paper presents
-    /// the §9.3 recovery scheme and the §10.2 optimizations independently;
-    /// so do we — deployments using [`Replica::crash`]/[`Replica::recover`]
-    /// should leave at least one replica uncompacted or skip compaction,
-    /// as `tests/faults.rs` does.
+    /// Interaction with crash recovery (§9.3): a replica restored from a
+    /// [`Replica::crash`] image (empty prefix) rebuilds `rcvd` from peers'
+    /// gossip, so if **every** peer compacted an operation the recovering
+    /// replica cannot replay it and would need the peer's
+    /// [`Replica::image`] instead. The paper presents the §9.3 recovery
+    /// scheme and the §10.2 optimizations independently; so do we —
+    /// deployments that crash replicas without storage should leave at
+    /// least one replica uncompacted or skip compaction, as
+    /// `tests/faults.rs` does.
     ///
     /// No-op (returning 0) when memoization is disabled or the replica is
     /// recovering.
@@ -1769,7 +1804,7 @@ mod tests {
         let _ = b.on_batched_gossip(a.make_batched_gossip(ReplicaId(1)));
         // b crashes and recovers; the harness protocol: peers reset.
         let stub = b.crash();
-        let mut b = Replica::recover(Ctr, stub, 2, cfg);
+        let mut b = Replica::restore(Ctr, stub, 2, cfg);
         a.reset_watermark(ReplicaId(1));
         for _ in 0..4 {
             sync_batched(&mut a, &mut b);
@@ -1805,7 +1840,7 @@ mod tests {
         let cfg = ReplicaConfig::default().with_batched(2);
         let (a, _) = two_replicas(cfg);
         let stub = a.crash();
-        let mut a = Replica::recover(Ctr, stub, 2, cfg);
+        let mut a = Replica::restore(Ctr, stub, 2, cfg);
         let env = a.poll_gossip(ReplicaId(1)).expect("liveness beacon");
         match env {
             GossipEnvelope::Snapshot(g) => assert!(g.is_empty()),
@@ -1904,8 +1939,8 @@ mod tests {
         sync(&mut a, &mut b);
 
         let stub = a.crash();
-        assert_eq!(stub.local_min_labels.len(), 1);
-        let mut a = Replica::recover(Ctr, stub, 2, ReplicaConfig::basic());
+        assert_eq!(stub.suffix_labels.len(), 1);
+        let mut a = Replica::restore(Ctr, stub, 2, ReplicaConfig::basic());
         assert!(a.is_recovering());
 
         // Requests during recovery are buffered, not answered.
@@ -1936,8 +1971,8 @@ mod tests {
         let (mut a, mut b) = two_replicas(ReplicaConfig::basic());
         let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
         let stub = a.crash();
-        assert_eq!(stub.local_min_labels.len(), 1);
-        let mut a = Replica::recover(Ctr, stub, 2, ReplicaConfig::basic());
+        assert_eq!(stub.suffix_labels.len(), 1);
+        let mut a = Replica::restore(Ctr, stub, 2, ReplicaConfig::basic());
 
         // Full gossip from the only peer: it has never seen c0:0, so
         // recovery must stay open.
@@ -1958,9 +1993,44 @@ mod tests {
     fn recovering_replica_gossips_empty() {
         let (a, _) = two_replicas(ReplicaConfig::basic());
         let stub = a.crash();
-        let mut a = Replica::recover(Ctr, stub, 2, ReplicaConfig::basic());
+        let mut a = Replica::restore(Ctr, stub, 2, ReplicaConfig::basic());
         let g = a.make_gossip(ReplicaId(1));
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn gossip_naming_no_peer_is_refused() {
+        // A sender id that is this replica or out of range must neither
+        // panic nor leave a trace: no effects, no state, no `batch` entry.
+        let cfg = ReplicaConfig::default().with_batched(1);
+        let (mut a, mut b) = two_replicas(cfg);
+        let _ = a.on_request(OpDescriptor::new(id(0, 0), Op::Inc));
+        let _ = b.on_request(OpDescriptor::new(id(1, 0), Op::Inc));
+        let full = b.make_gossip(ReplicaId(0));
+        let batched = b.make_batched_gossip(ReplicaId(0));
+        let before = a.clone();
+        for from in [ReplicaId(0), ReplicaId(2)] {
+            assert!(a
+                .on_gossip(GossipMsg {
+                    from,
+                    ..full.clone()
+                })
+                .is_empty());
+            let env = GossipEnvelope::Batched(BatchedGossipMsg {
+                from,
+                ..batched.clone()
+            });
+            assert!(a.on_gossip_envelope(env).is_empty());
+        }
+        assert_eq!(a.stats().gossip_refused, 4);
+        assert_eq!(a.stats().gossip_in, 0);
+        let mut unchanged = a.clone();
+        unchanged.stats = before.stats;
+        assert_eq!(format!("{unchanged:?}"), format!("{before:?}"));
+        // The real sender is still heard.
+        let _ = a.on_batched_gossip(batched);
+        assert_eq!(a.stats().gossip_in, 1);
+        assert!(a.done_here().contains(&id(1, 0)));
     }
 
     #[test]

@@ -126,7 +126,7 @@ proptest! {
         // and resynchronize: the recovering replica stays passive until it
         // has heard from every peer.
         let stub = reps[0].clone().crash();
-        reps[0] = Replica::recover(Ctr, stub, N, cfg);
+        reps[0] = Replica::restore(Ctr, stub, N, cfg);
         prop_assert!(reps[0].is_recovering());
         for _ in 0..4 {
             gossip_round(&mut reps);

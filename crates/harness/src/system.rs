@@ -199,9 +199,10 @@ impl SystemConfig {
 pub enum FaultEvent {
     /// Crash a replica, losing volatile memory (stable storage retained).
     Crash(ReplicaId),
-    /// Restart a crashed replica from its stable-storage stub, volatile
-    /// from then on (a restart from a durable backend's disk image goes
-    /// through [`SimSystem::replace_replica`]).
+    /// Restart a crashed replica with [`Replica::restore`] from the image
+    /// its crash kept ([`Replica::crash`]), volatile from then on (a
+    /// restart from a durable backend's disk image goes through
+    /// [`SimSystem::replace_replica`]).
     Recover(ReplicaId),
     /// Drop all traffic on every channel touching this replica.
     Isolate(ReplicaId),
@@ -316,7 +317,9 @@ enum Slot<T: SerialDataType> {
     /// A running node; a durable one owns its backend (see
     /// [`SimSystem::install_persistence`]).
     Alive(Box<Node<T>>),
-    Crashed(esds_alg::RecoveryStub),
+    /// What the crash kept ([`Replica::crash`]); [`FaultEvent::Recover`]
+    /// restores from it.
+    Crashed(esds_alg::RestoreImage<T>),
 }
 
 impl<T: SerialDataType> Slot<T> {
@@ -586,10 +589,10 @@ impl<T: SerialDataType + Clone> EsdsWorld<T> {
         match f {
             FaultEvent::Crash(r) => self.crash(r),
             FaultEvent::Recover(r) => {
-                if let Slot::Crashed(stub) = &self.replicas[r.0 as usize] {
-                    let rep = Replica::recover(
+                if let Slot::Crashed(img) = &self.replicas[r.0 as usize] {
+                    let rep = Replica::restore(
                         self.dt.clone(),
-                        stub.clone(),
+                        img.clone(),
                         self.config.n_replicas,
                         self.config.replica,
                     );
@@ -959,16 +962,10 @@ impl<T: SerialDataType + Clone> SimSystem<T> {
     /// # Panics
     ///
     /// Panics if the system was not configured with
-    /// `config.replica.durable` (the replica would not track its WAL
-    /// delta, making the log silently empty), if `r` is out of range,
-    /// or if replica `r` has already processed an operation.
+    /// `config.replica.durable` (see [`Node::new`]), if `r` is out of
+    /// range, or if replica `r` has already processed an operation.
     pub fn install_persistence(&mut self, r: usize, store: Box<dyn esds_alg::Persistence<T>>) {
         let config = self.world.config.replica;
-        assert!(
-            config.durable,
-            "install_persistence needs config.replica.durable (with_durable()): without it the \
-             replica does not track a WAL delta and nothing would ever be logged"
-        );
         let rep = self.world.replicas[r]
             .replica()
             .unwrap_or_else(|| panic!("replica {r} is crashed; use replace_replica"));
@@ -1511,22 +1508,36 @@ mod tests {
 
     #[test]
     fn crash_and_recover_preserves_service() {
-        let cfg = SystemConfig::new(3)
-            .with_seed(5)
-            .with_replica(ReplicaConfig::basic())
-            .with_retry(SimDuration::from_millis(50));
-        let mut sys = SimSystem::new(Counter, cfg);
-        let c = sys.add_client(0); // attached to replica 0
-        sys.submit(c, CounterOp::Increment(1), &[], false);
-        sys.run_for(SimDuration::from_millis(200));
-        // Crash the client's replica; retries keep hitting it until it
-        // recovers (Fixed policy), so recovery must restore service.
-        sys.schedule_fault(SimTime::from_millis(210), FaultEvent::Crash(ReplicaId(0)));
-        sys.schedule_fault(SimTime::from_millis(400), FaultEvent::Recover(ReplicaId(0)));
-        sys.run_for(SimDuration::from_millis(250));
-        let id = sys.submit(c, CounterOp::Read, &[], false);
-        sys.run_until_converged(SimTime::from_millis(5_000))
-            .unwrap();
-        assert_eq!(sys.response(id), Some(&CounterValue::Count(1)));
+        // The crash image has an empty prefix, so every configuration
+        // restores from it: memoization, eager-commute and batched gossip
+        // included.
+        for replica in [
+            ReplicaConfig::basic(),
+            ReplicaConfig::default(),
+            ReplicaConfig::default().with_batched(1),
+            ReplicaConfig::commute(),
+        ] {
+            let cfg = SystemConfig::new(3)
+                .with_seed(5)
+                .with_replica(replica)
+                .with_retry(SimDuration::from_millis(50));
+            let mut sys = SimSystem::new(Counter, cfg);
+            let c = sys.add_client(0); // attached to replica 0
+            sys.submit(c, CounterOp::Increment(1), &[], false);
+            sys.run_for(SimDuration::from_millis(200));
+            // Crash the client's replica; retries keep hitting it until it
+            // recovers (Fixed policy), so recovery must restore service.
+            sys.schedule_fault(SimTime::from_millis(210), FaultEvent::Crash(ReplicaId(0)));
+            sys.schedule_fault(SimTime::from_millis(400), FaultEvent::Recover(ReplicaId(0)));
+            sys.run_for(SimDuration::from_millis(250));
+            let id = sys.submit(c, CounterOp::Read, &[], false);
+            sys.run_until_converged(SimTime::from_millis(5_000))
+                .unwrap_or_else(|e| panic!("{replica:?}: {e}"));
+            assert_eq!(
+                sys.response(id),
+                Some(&CounterValue::Count(1)),
+                "{replica:?}"
+            );
+        }
     }
 }

@@ -221,13 +221,13 @@ where
             };
             match Snapshot::<T>::decode(&name, &bytes)? {
                 Some(s) => {
-                    if s.replica != id || s.n != n as u64 {
+                    if s.image.id != id || s.n != n as u64 {
                         return Err(corrupt(
                             &name,
                             0,
                             format!(
                                 "snapshot identity mismatch: wrote ({:?}, n={}), opening ({id:?}, n={n})",
-                                s.replica, s.n
+                                s.image.id, s.n
                             ),
                         ));
                     }
@@ -256,7 +256,7 @@ where
         // Replay all surviving logs, ascending.
         let prefix_ids: BTreeSet<OpId> = snapshot
             .iter()
-            .flat_map(|(_, s)| s.prefix.iter().map(|e| e.id))
+            .flat_map(|(_, s)| s.image.prefix.iter().map(|e| e.id))
             .collect();
         let mut admitted: BTreeMap<OpId, esds_core::OpDescriptor<T::Operator>> = BTreeMap::new();
         let mut labels: BTreeMap<OpId, Label> = BTreeMap::new();
@@ -304,32 +304,27 @@ where
             .unwrap_or(0);
 
         let replica = if any_files {
-            let next_counter = snapshot
-                .as_ref()
-                .map_or(0, |(_, s)| s.next_counter)
-                .max(max_own_counter.map_or(0, |c| c + 1));
-            let (state, prefix) = match snapshot {
+            let mut img = match snapshot {
                 Some((g, s)) => {
                     report.snapshot_gen = Some(g);
-                    (s.state, s.prefix)
+                    s.image
                 }
-                None => (dt.initial_state(), Vec::new()),
+                None => RestoreImage {
+                    id,
+                    next_counter: 0,
+                    prefix: Vec::new(),
+                    state: dt.initial_state(),
+                    suffix_rcvd: Vec::new(),
+                    suffix_labels: Vec::new(),
+                },
             };
+            img.next_counter = img.next_counter.max(max_own_counter.map_or(0, |c| c + 1));
             report.recovered = true;
-            report.prefix_len = prefix.len();
+            report.prefix_len = img.prefix.len();
             report.suffix_len = admitted.len();
-            let suffix_labels: Vec<(OpId, Label)> = labels
-                .into_iter()
-                .filter(|(op, _)| !prefix_ids.contains(op))
-                .collect();
-            let img = RestoreImage {
-                id,
-                next_counter,
-                prefix,
-                state,
-                suffix_rcvd: admitted.into_values().collect(),
-                suffix_labels,
-            };
+            // `restore` drops logged labels of prefix ops itself.
+            img.suffix_rcvd = admitted.into_values().collect();
+            img.suffix_labels = labels.into_iter().collect();
             Replica::restore(dt, img, n, config)
         } else {
             Replica::new(dt, id, n, config)
@@ -405,41 +400,37 @@ where
         Ok(())
     }
 
-    /// Cuts a snapshot at the current memo fence and truncates the log
-    /// to the unstable suffix (a new generation; older files removed).
+    /// Writes the replica's [`Replica::image`]: its prefix as a snapshot,
+    /// its suffix as the new log generation (older files are removed).
     /// Returns `false` if skipped — the replica is still in the §9.3
-    /// recovery gate, or does not memoize.
+    /// recovery gate, or does not memoize (there is no image to cut).
     ///
     /// # Errors
     ///
     /// Backend failures.
     pub fn checkpoint(&mut self, rep: &mut Replica<T>) -> Result<bool, StoreError> {
-        // The state below already reflects any undrained delta.
+        // The image below already reflects any undrained delta.
         let _ = rep.take_wal_delta();
-        if rep.is_recovering() || rep.memo_state().is_none() {
+        let Some(image) = rep.image() else {
             return Ok(false);
-        }
+        };
+        let snap = Snapshot {
+            n: rep.n() as u64,
+            image,
+        };
         let new_gen = self.gen + 1;
-        let snap = snap_name(new_gen);
-        self.storage.append(&snap, &Snapshot::of(rep).encode())?;
-        self.storage.sync(&snap)?;
+        let snap_file = snap_name(new_gen);
+        self.storage.append(&snap_file, &snap.encode())?;
+        self.storage.sync(&snap_file)?;
 
-        // Re-log the unstable suffix into the new generation's log.
-        let memo_ids: BTreeSet<OpId> = rep.memo_order().iter().copied().collect();
         let mut buf = Vec::new();
-        let mut n = 0u64;
-        for (opid, d) in rep.rcvd() {
-            if !memo_ids.contains(opid) {
-                frame_into(&mut buf, &encode_admit(d));
-                n += 1;
-            }
+        for d in &snap.image.suffix_rcvd {
+            frame_into(&mut buf, &encode_admit(d));
         }
-        for (opid, l) in rep.labels().iter() {
-            if !memo_ids.contains(&opid) {
-                frame_into(&mut buf, &encode_label(opid, l));
-                n += 1;
-            }
+        for (opid, l) in &snap.image.suffix_labels {
+            frame_into(&mut buf, &encode_label(*opid, *l));
         }
+        let n = (snap.image.suffix_rcvd.len() + snap.image.suffix_labels.len()) as u64;
         let wal = wal_name(new_gen);
         if !buf.is_empty() {
             self.storage.append(&wal, &buf)?;

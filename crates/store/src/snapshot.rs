@@ -1,11 +1,12 @@
 //! State snapshots at the stable fence.
 //!
-//! A snapshot is the §10.1 memo image — exactly what
-//! [`esds_alg::RestoreImage`] carries as its prefix: per op its frozen
-//! label, fixed value (Lemma 10.2), and stability flags, plus the
-//! memoized state and the label-counter floor. Because the memo prefix's
-//! serialization is final, cutting a snapshot needs no coordination with
-//! the gossip path — it is a pure read of the replica.
+//! A snapshot *is* the prefix of an [`esds_alg::RestoreImage`] cut by
+//! [`esds_alg::Replica::image`]: per op its frozen label, fixed value
+//! (Lemma 10.2), and stability flags, plus the memoized state and the
+//! label-counter floor. The image's suffix is not in the snapshot file;
+//! the checkpoint writes it as the next log generation. Because the memo
+//! prefix is final, cutting a snapshot needs no coordination with the
+//! gossip path — it is a pure read of the replica.
 //!
 //! On disk: an 8-byte magic followed by one checksummed frame (same
 //! framing as the log). A snapshot file cut short by a crash decodes to
@@ -16,7 +17,7 @@ use esds_core::{ReplicaId, SerialDataType};
 use esds_wire::codec::{get_varint, put_varint};
 use esds_wire::{Wire, WireError};
 
-use esds_alg::{PrefixEntry, Replica};
+use esds_alg::{PrefixEntry, RestoreImage};
 use esds_core::{Label, OpId};
 
 use crate::storage::{corrupt, StoreError};
@@ -26,16 +27,11 @@ pub(crate) const SNAP_MAGIC: &[u8; 8] = b"ESDSSNP1";
 
 /// A durable image of one replica's memo prefix.
 pub struct Snapshot<T: SerialDataType> {
-    /// Identity of the snapshotting replica.
-    pub replica: ReplicaId,
     /// Cluster size the replica was configured with.
     pub n: u64,
-    /// Label-counter floor (one past every label the replica minted).
-    pub next_counter: u64,
-    /// The memo prefix, in strictly increasing label order.
-    pub prefix: Vec<PrefixEntry<T>>,
-    /// The memoized state after applying the prefix.
-    pub state: T::State,
+    /// The image; only its prefix half (identity, label-counter floor,
+    /// prefix, state) is written, and a decoded one has an empty suffix.
+    pub image: RestoreImage<T>,
 }
 
 fn wire_corrupt(file: &str, what: &str, e: WireError) -> StoreError {
@@ -48,54 +44,22 @@ where
     T::Value: Wire,
     T::State: Wire,
 {
-    /// Captures the current memo image of `rep`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if memoization is disabled (durable replicas require it).
-    pub fn of(rep: &Replica<T>) -> Self {
-        let prefix = rep
-            .memo_order()
-            .iter()
-            .map(|&id| PrefixEntry {
-                id,
-                label: rep
-                    .labels()
-                    .get(id)
-                    .finite()
-                    .expect("memoized ops are labeled"),
-                value: rep.memo_value(id).expect("memoized value present").clone(),
-                stable_here: rep.stable_here().contains(&id),
-                stable_everywhere: rep.stable_everywhere().contains(&id),
-            })
-            .collect();
-        Snapshot {
-            replica: rep.id(),
-            n: rep.n() as u64,
-            next_counter: rep.next_label_counter(),
-            prefix,
-            state: rep
-                .memo_state()
-                .expect("durable replicas memoize (§10.1)")
-                .clone(),
-        }
-    }
-
     /// The full on-disk bytes of this snapshot.
     pub fn encode(&self) -> Vec<u8> {
+        let img = &self.image;
         let mut payload = Vec::new();
-        self.replica.encode(&mut payload);
+        img.id.encode(&mut payload);
         put_varint(&mut payload, self.n);
-        put_varint(&mut payload, self.next_counter);
-        put_varint(&mut payload, self.prefix.len() as u64);
-        for e in &self.prefix {
+        put_varint(&mut payload, img.next_counter);
+        put_varint(&mut payload, img.prefix.len() as u64);
+        for e in &img.prefix {
             e.id.encode(&mut payload);
             e.label.encode(&mut payload);
             e.value.encode(&mut payload);
             e.stable_here.encode(&mut payload);
             e.stable_everywhere.encode(&mut payload);
         }
-        self.state.encode(&mut payload);
+        img.state.encode(&mut payload);
         let mut out = Vec::with_capacity(payload.len() + SNAP_MAGIC.len() + 12);
         out.extend_from_slice(SNAP_MAGIC);
         frame_into(&mut out, &payload);
@@ -163,11 +127,15 @@ where
             ));
         }
         Ok(Some(Snapshot {
-            replica,
             n,
-            next_counter,
-            prefix,
-            state,
+            image: RestoreImage {
+                id: replica,
+                next_counter,
+                prefix,
+                state,
+                suffix_rcvd: Vec::new(),
+                suffix_labels: Vec::new(),
+            },
         }))
     }
 }

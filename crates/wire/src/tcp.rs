@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
-    FrontEnd, GossipEnvelope, Link, Node, Persistence, RecoveryStub, RelayPolicy, Replica,
-    ReplicaConfig, RequestMsg,
+    FrontEnd, GossipEnvelope, Link, Node, Persistence, RelayPolicy, Replica, ReplicaConfig,
+    RequestMsg, RestoreImage,
 };
 use esds_core::{ClientId, OpId, ReplicaId, RoutingTable, SerialDataType, ShardedOpId};
 use esds_obs::Stage;
@@ -236,25 +236,6 @@ where
     ) -> Self {
         let rep = Replica::new(dt, id, config.n_replicas, config.replica);
         Self::spawn_node(Node::new(rep, None), listener, addrs, config, Some(shard))
-    }
-
-    /// Spawns a node recovering from a crash (paper §9.3): the replica
-    /// rebuilds its state from gossip, serving nothing until it has heard
-    /// from every peer. Only `stub` (the stable-storage label floor and
-    /// local minimum labels) survives from before the crash.
-    ///
-    /// # Panics
-    ///
-    /// Panics if threads cannot be spawned.
-    pub fn spawn_recovered(
-        dt: T,
-        stub: RecoveryStub,
-        listener: TcpListener,
-        addrs: AddrTable,
-        config: &TcpClusterConfig,
-    ) -> Self {
-        let rep = Replica::recover(dt, stub, config.n_replicas, config.replica);
-        Self::spawn_node(Node::new(rep, None), listener, addrs, config, None)
     }
 
     fn spawn_node(
@@ -1081,37 +1062,43 @@ where
     }
 
     /// Crashes node `r`: its threads stop and all volatile state is lost.
-    /// Returns the stable-storage stub (paper §9.3: the label-counter
-    /// floor and locally-generated minimum labels) for a later
-    /// [`TcpCluster::restart`].
+    /// Returns what stable storage keeps ([`Replica::crash`], paper §9.3:
+    /// the label-counter floor and locally-generated minimum labels) for a
+    /// later [`TcpCluster::restart`].
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range or already crashed.
-    pub fn crash(&mut self, r: ReplicaId) -> RecoveryStub {
+    pub fn crash(&mut self, r: ReplicaId) -> RestoreImage<T> {
         let node = self.nodes[r.0 as usize].take().expect("node is running");
         node.shutdown().crash()
     }
 
-    /// Restarts a crashed node from its stable-storage stub on a fresh
-    /// ephemeral port, updating the shared address table. The node rejoins
-    /// by gossip: it serves nothing until it has heard from every peer
-    /// (paper §9.3), after which Theorem 9.4's bounds apply again.
+    /// Restarts a crashed node from `img` ([`Replica::restore`]) on a
+    /// fresh ephemeral port, updating the shared address table. The node
+    /// rejoins by gossip: it serves nothing until it has heard from every
+    /// peer (paper §9.3), after which Theorem 9.4's bounds apply again.
     ///
     /// # Panics
     ///
     /// Panics if the node is still running or the listener cannot bind.
-    pub fn restart(&mut self, stub: RecoveryStub) {
-        let idx = stub.id.0 as usize;
+    pub fn restart(&mut self, img: RestoreImage<T>) {
+        let idx = img.id.0 as usize;
         assert!(self.nodes[idx].is_none(), "node {idx} is still running");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
         self.addrs.lock()[idx] = listener.local_addr().expect("addr");
-        self.nodes[idx] = Some(TcpReplicaNode::spawn_recovered(
+        let rep = Replica::restore(
             self.dt.clone(),
-            stub,
+            img,
+            self.config.n_replicas,
+            self.config.replica,
+        );
+        self.nodes[idx] = Some(TcpReplicaNode::spawn_node(
+            Node::new(rep, None),
             listener,
             self.addrs.clone(),
             &self.config,
+            None,
         ));
     }
 
@@ -1270,6 +1257,58 @@ mod tests {
         assert_eq!(reps.len(), 3);
         let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
         assert!(states.iter().all(|s| *s == 8), "diverged: {states:?}");
+    }
+
+    #[test]
+    fn gossip_naming_no_replica_is_refused_not_fatal() {
+        // Readers forward gossip frames from any connection. One frame on
+        // a client connection naming a replica the cluster does not have
+        // must not stop the core thread.
+        let mut cluster = TcpCluster::launch(Counter, TcpClusterConfig::new(3));
+        let mut raw = TcpStream::connect(cluster.addrs()[0]).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let bogus = esds_alg::GossipMsg {
+            from: ReplicaId(9),
+            rcvd: Vec::new(),
+            done: Vec::new(),
+            labels: Vec::new(),
+            stable: Vec::new(),
+        };
+        let mut out = BytesMut::new();
+        for msg in [
+            WireMessage::Hello(HelloId::Client(ClientId(99))),
+            WireMessage::Gossip(bogus),
+            // Answered only after the core took the gossip frame: the
+            // reader forwards both in order over one channel.
+            WireMessage::StabilityQuery,
+        ] {
+            encode_message::<CounterOp, CounterValue>(&msg, &mut out);
+        }
+        raw.write_all(&out).expect("write");
+        let mut buf = BytesMut::new();
+        let mut chunk = [0u8; 4096];
+        let frame = loop {
+            if let Some(frame) = decode_frame(&mut buf).expect("well-formed reply") {
+                break frame;
+            }
+            let n = raw.read(&mut chunk).expect("stability answer");
+            assert!(n > 0, "node closed the connection");
+            buf.extend_from_slice(&chunk[..n]);
+        };
+        assert!(matches!(
+            decode_message::<CounterOp, CounterValue>(&frame),
+            Ok(WireMessage::StabilityInfo(_))
+        ));
+
+        let mut c = cluster.client(); // relay = replica 0
+        let id = c.submit(CounterOp::Increment(1), &[], false);
+        assert_eq!(
+            c.await_response(id, Duration::from_secs(10)),
+            Some(CounterValue::Ack)
+        );
+        let reps = cluster.shutdown();
+        assert_eq!(reps[0].stats().gossip_refused, 1);
+        assert_eq!(reps[1].stats().gossip_refused, 0);
     }
 
     #[test]
