@@ -9,17 +9,16 @@
 //! watermark handshake that lets the sender prune future batches.
 
 use esds_core::{IdSummary, Label, OpDescriptor, OpId, ReplicaId};
-use serde::{Deserialize, Serialize};
 
 /// A request message `⟨"request", x⟩` from a front end to a replica.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RequestMsg<O> {
     /// The operation descriptor being requested.
     pub desc: OpDescriptor<O>,
 }
 
 /// A response message `⟨"response", x, v⟩` from a replica to a front end.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResponseMsg<V> {
     /// The operation being answered.
     pub id: OpId,
@@ -36,7 +35,7 @@ pub struct ResponseMsg<V> {
 /// `R` carries full descriptors (receivers need `prev` sets to honour
 /// do_it's precondition); `D` and `S` carry identifiers; `L` carries the
 /// finite part of the sender's label function (absent entries are `∞`).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GossipMsg<O> {
     /// Sending replica.
     pub from: ReplicaId,
@@ -89,7 +88,7 @@ impl<O> GossipMsg<O> {
 ///   identifier the sender has received. The receiver records it and
 ///   prunes its next batch to this sender accordingly, so in steady state
 ///   neither side re-ships history.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BatchedGossipMsg<O> {
     /// Sending replica.
     pub from: ReplicaId,

@@ -752,16 +752,6 @@ impl<T: SerialDataType> Replica<T> {
         self.memo.as_ref().and_then(|m| m.values.get(&id))
     }
 
-    /// The §10.3 do-time value of `id` (eager-commute mode only).
-    pub fn eager_value(&self, id: OpId) -> Option<&T::Value> {
-        self.eager.as_ref().and_then(|e| e.vals.get(&id))
-    }
-
-    /// The §10.3 current state `cs_r` (eager-commute mode only).
-    pub fn eager_state(&self) -> Option<&T::State> {
-        self.eager.as_ref().map(|e| &e.cs)
-    }
-
     /// The state after applying **all** currently-done operations in local
     /// label order — the replica's current view of the object. Used by
     /// convergence checks; linear in the number of unmemoized operations.

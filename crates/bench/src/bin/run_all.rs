@@ -88,14 +88,12 @@ fn render_json(miniature: bool, series: &[Series]) -> String {
 }
 
 /// Every experiment `--only` can name, in execution order.
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 14] = [
     "fig_scalability",
     "fig_strict_latency",
     "fig_shard_scalability",
     "fig_rebalance",
     "fig_wire_shards",
-    "fig_wal_cost",
-    "fig_obs_overhead",
     "tab_response_bounds",
     "tab_stabilization",
     "tab_fault_recovery",
@@ -192,26 +190,6 @@ fn main() {
             vec!["shards", "ops_per_sec"],
             f5.into_iter()
                 .map(|(s_, tp)| vec![n(s_ as u32), n(tp)])
-                .collect(),
-        ));
-    }
-    if want("fig_wal_cost") {
-        let f6 = ex::fig_wal_cost(pick(4, 2), pick(80, 12));
-        series.push((
-            "fig_wal_cost",
-            vec!["persistence", "ops_per_sec"],
-            f6.into_iter()
-                .map(|(mode, tp)| vec![s(mode), n(tp)])
-                .collect(),
-        ));
-    }
-    if want("fig_obs_overhead") {
-        let f7 = ex::fig_obs_overhead(pick(4, 2), pick(80, 12));
-        series.push((
-            "fig_obs_overhead",
-            vec!["metrics", "ops_per_sec"],
-            f7.into_iter()
-                .map(|(mode, tp)| vec![s(mode), n(tp)])
                 .collect(),
         ));
     }

@@ -418,208 +418,6 @@ fn wire_shard_run(
     (clients * ops_per_client) as f64 / secs.max(f64::EPSILON)
 }
 
-/// F6 — what durability costs on the hot path: closed-loop throughput of
-/// the 3-replica threaded service with persistence **off** (volatile
-/// replicas), **wal** (every input synced to its replica's write-ahead
-/// log before any effect is released, no compaction), and
-/// **wal+snapshot** (same log plus a stable-prefix checkpoint every 64
-/// records, so the figure includes compaction's amortized cost). Returns
-/// `(mode, ops/s)` triples; the table also shows throughput relative to
-/// the volatile baseline.
-///
-/// Sync-before-release is the price of the recovery guarantee (an
-/// answered operation can never be lost — see `tests/durability.rs`),
-/// and this figure is the receipt: it quantifies exactly what the
-/// guarantee charges per operation on this host's fsync latency.
-///
-/// # Panics
-///
-/// Panics if a client's operation goes unanswered for 60 s or a store
-/// cannot be opened under the system temp directory.
-pub fn fig_wal_cost(clients: usize, ops_per_client: usize) -> Vec<(&'static str, f64)> {
-    // `None` = volatile; `Some(snapshot_every)` = durable with the given
-    // compaction policy (`None` inside = WAL only, never compacted).
-    let modes: [(&'static str, Option<Option<u64>>); 3] = [
-        ("off", None),
-        ("wal", Some(None)),
-        ("wal+snapshot", Some(Some(64))),
-    ];
-    let mut out = Vec::new();
-    for (tag, durable) in modes {
-        let tp = wal_cost_run(tag, durable, clients, ops_per_client);
-        out.push((tag, tp));
-    }
-    let base = out[0].1;
-    let rows = out
-        .iter()
-        .map(|(tag, tp)| {
-            vec![
-                (*tag).to_string(),
-                format!("{tp:.0}"),
-                format!("{:.2}×", tp / base.max(f64::EPSILON)),
-            ]
-        })
-        .collect::<Vec<_>>();
-    print_table(
-        "F6 — durable replicas: WAL cost on the hot path (kv, 3 threaded replicas, sync-before-release)",
-        &["persistence", "ops/s", "vs volatile"],
-        &rows,
-    );
-    out
-}
-
-fn wal_cost_run(
-    tag: &str,
-    durable: Option<Option<u64>>,
-    clients: usize,
-    ops_per_client: usize,
-) -> f64 {
-    use std::time::{Duration, Instant};
-    const N: usize = 3;
-    let mut cfg = esds_runtime::RuntimeConfig::new(N);
-    cfg.gossip_interval = Duration::from_millis(10);
-    let root = std::env::temp_dir().join(format!(
-        "esds-bench-wal-{}-{}",
-        std::process::id(),
-        tag.replace('+', "-")
-    ));
-    let mut svc = match durable {
-        None => esds_runtime::RuntimeService::start(KvStore, cfg),
-        Some(snapshot_every) => {
-            cfg.replica = ReplicaConfig::default().with_durable();
-            let _ = std::fs::remove_dir_all(&root);
-            let replicas = (0..N)
-                .map(|r| {
-                    let storage = esds_store::FileStorage::open(root.join(format!("r{r}")))
-                        .expect("bench store dir");
-                    let (store, replica, report) = esds_store::DurableStore::open(
-                        KvStore,
-                        storage,
-                        esds_core::ReplicaId(r as u32),
-                        N,
-                        ReplicaConfig::default(),
-                        esds_store::DurableConfig { snapshot_every },
-                    )
-                    .expect("open fresh durable store");
-                    assert!(!report.recovered, "bench store must start empty");
-                    (
-                        replica,
-                        Box::new(store) as Box<dyn esds_alg::Persistence<KvStore>>,
-                    )
-                })
-                .collect();
-            esds_runtime::RuntimeService::start_durable(cfg, replicas)
-        }
-    };
-    let handles: Vec<_> = (0..clients).map(|_| svc.client()).collect();
-    let start = Instant::now();
-    let threads: Vec<_> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(ci, mut c)| {
-            std::thread::spawn(move || {
-                for i in 0..ops_per_client {
-                    let key = format!("k{}", (ci * ops_per_client + i) % 64);
-                    let id = c.submit(esds_datatypes::KvOp::put(key, "x"), &[], false);
-                    c.await_response(id, Duration::from_secs(60))
-                        .expect("wal-cost op unanswered");
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("client thread panicked");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    svc.shutdown();
-    if durable.is_some() {
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    (clients * ops_per_client) as f64 / secs.max(f64::EPSILON)
-}
-
-/// F7 — what observability costs on the hot path: closed-loop throughput
-/// of the 3-replica threaded service with metrics **off** (disabled
-/// registry — every handle is a no-op `Option::None`), **counters**
-/// (live registry: per-replica request/gossip counters, per-client
-/// submitted/answered counters plus the bounded `await_us` histogram),
-/// and **counters+tracing** (same, plus an op-lifecycle tracer sampling
-/// 1-in-16 operations into a null sink). Returns `(mode, ops/s)`
-/// triples; the table also shows throughput relative to the disabled
-/// baseline.
-///
-/// The disabled path is the design's zero-cost claim and this figure is
-/// the receipt: handles are `None` so the instrumented sites reduce to a
-/// branch on an already-loaded discriminant. The counters mode bounds
-/// the full-fleet price (relaxed atomic increments); the tracing mode
-/// adds the FNV sampling hash per lifecycle stage.
-///
-/// # Panics
-///
-/// Panics if a client's operation goes unanswered for 60 s.
-pub fn fig_obs_overhead(clients: usize, ops_per_client: usize) -> Vec<(&'static str, f64)> {
-    let modes: [&'static str; 3] = ["off", "counters", "counters+tracing"];
-    let mut out = Vec::new();
-    for tag in modes {
-        let tp = obs_overhead_run(tag, clients, ops_per_client);
-        out.push((tag, tp));
-    }
-    let base = out[0].1;
-    let rows = out
-        .iter()
-        .map(|(tag, tp)| {
-            vec![
-                (*tag).to_string(),
-                format!("{tp:.0}"),
-                format!("{:.2}×", tp / base.max(f64::EPSILON)),
-            ]
-        })
-        .collect::<Vec<_>>();
-    print_table(
-        "F7 — observability overhead on the hot path (kv, 3 threaded replicas, closed loop)",
-        &["metrics", "ops/s", "vs disabled"],
-        &rows,
-    );
-    out
-}
-
-fn obs_overhead_run(tag: &str, clients: usize, ops_per_client: usize) -> f64 {
-    use std::time::{Duration, Instant};
-    let mut cfg = esds_runtime::RuntimeConfig::new(3);
-    cfg.gossip_interval = Duration::from_millis(10);
-    cfg = match tag {
-        "off" => cfg,
-        "counters" => cfg.with_obs(esds_obs::MetricsRegistry::new()),
-        "counters+tracing" => cfg
-            .with_obs(esds_obs::MetricsRegistry::new())
-            .with_tracer(esds_obs::OpTracer::to_writer(Box::new(std::io::sink()), 16)),
-        _ => unreachable!("unknown obs mode {tag}"),
-    };
-    let mut svc = esds_runtime::RuntimeService::start(KvStore, cfg);
-    let handles: Vec<_> = (0..clients).map(|_| svc.client()).collect();
-    let start = Instant::now();
-    let threads: Vec<_> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(ci, mut c)| {
-            std::thread::spawn(move || {
-                for i in 0..ops_per_client {
-                    let key = format!("k{}", (ci * ops_per_client + i) % 64);
-                    let id = c.submit(esds_datatypes::KvOp::put(key, "x"), &[], false);
-                    c.await_response(id, Duration::from_secs(60))
-                        .expect("obs-overhead op unanswered");
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("client thread panicked");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    svc.shutdown();
-    (clients * ops_per_client) as f64 / secs.max(f64::EPSILON)
-}
-
 /// F2 — §11.1 strict-ratio: latency vs % strict at fixed load. Returns
 /// `(strict_percent, mean_latency_secs)`.
 pub fn fig_strict_latency(n: usize, ops_per_client: usize) -> Vec<(u32, f64)> {

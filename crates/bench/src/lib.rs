@@ -10,6 +10,7 @@
 //! | `fig_strict_latency`  | §11.1 latency-vs-strict% figure (F2) |
 //! | `fig_shard_scalability` | throughput vs shard count, sharded kv (F3) |
 //! | `fig_rebalance`       | throughput/latency through an add-shard handoff (F4) |
+//! | `fig_wire_shards`     | TCP throughput vs shard count, fixed replica budget (F5) |
 //! | `tab_response_bounds` | Theorem 9.3 response-time bounds (T1) |
 //! | `tab_stabilization`   | Lemma 9.2 done-everywhere bound (T2) |
 //! | `tab_fault_recovery`  | Theorem 9.4 recovery bounds (T3) |
@@ -19,7 +20,6 @@
 //! | `tab_gossip_interval` | Theorem 9.3 g-sensitivity (A5) |
 //! | `tab_memory`          | §10.2 local compaction (A6) |
 //! | `tab_baseline_compare`  | consistency/performance trade-off (B1) |
-//! | `fig_obs_overhead`    | metrics/tracing overhead on the hot path (F7) |
 //! | `run_all`             | all of the above |
 //!
 //! Criterion micro-benchmarks live in `benches/`.

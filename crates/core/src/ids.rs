@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a client of the data service.
 ///
 /// Clients issue operation descriptors through a front end and receive
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let c = ClientId(3);
 /// assert_eq!(c.to_string(), "c3");
 /// ```
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -52,9 +48,7 @@ impl From<u32> for ClientId {
 /// use esds_core::ReplicaId;
 /// assert_eq!(ReplicaId(0).to_string(), "r0");
 /// ```
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ReplicaId(pub u32);
 
 impl fmt::Display for ReplicaId {
@@ -89,7 +83,7 @@ impl From<u32> for ReplicaId {
 /// assert_eq!(id.seq(), 7);
 /// assert_eq!(id.to_string(), "c2:7");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId {
     client: ClientId,
     seq: u64,

@@ -9,8 +9,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::OpId;
 
 /// An operation descriptor (an element of 𝒪 in the paper, §2.3).
@@ -30,7 +28,7 @@ use crate::ids::OpId;
 /// assert!(r.strict);
 /// assert!(r.prev.contains(&w.id));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OpDescriptor<O> {
     /// Unique operation identifier (`x.id`).
     pub id: OpId,

@@ -457,11 +457,6 @@ impl MigrationPlan {
         self.from_version
     }
 
-    /// The table version after applying this plan.
-    pub fn to_version(&self) -> u64 {
-        self.from_version + 1
-    }
-
     /// Number of shards the table addresses after this plan.
     pub fn n_shards_after(&self) -> u32 {
         self.n_shards_after

@@ -27,8 +27,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ClientId, OpId};
 
 /// An exact, compact representation of a finite set of [`OpId`]s.
@@ -55,7 +53,7 @@ use crate::ids::{ClientId, OpId};
 /// assert_eq!(s.watermark(ClientId(1)), 2);
 /// assert_eq!(s.exception_count(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct IdSummary {
     /// Per-client watermark `w`: all sequences `< w` are members.
     watermarks: BTreeMap<ClientId, u64>,

@@ -10,7 +10,6 @@
 //! drives this type end to end.
 
 use esds_core::{CommutativitySpec, KeyedDataType, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A non-negative account balance (in cents), initially `0`.
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 pub struct Bank;
 
 /// Operators of [`Bank`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum BankOp {
     /// Add to the balance (returns [`BankValue::Ack`]).
     Deposit(u64),
@@ -46,7 +45,7 @@ pub enum BankOp {
 }
 
 /// Values reported by [`Bank`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum BankValue {
     /// Acknowledgement of a deposit.
     Ack,

@@ -3,7 +3,6 @@
 //! the commutativity-exploiting algorithm must order them explicitly.
 
 use esds_core::{CommutativitySpec, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A counter over `i64` starting at `0`.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub struct Counter;
 
 /// Operators of [`Counter`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum CounterOp {
     /// Add a constant (returns [`CounterValue::Ack`]).
     Increment(i64),
@@ -35,7 +34,7 @@ pub enum CounterOp {
 }
 
 /// Values reported by [`Counter`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum CounterValue {
     /// Acknowledgement of a mutation.
     Ack,

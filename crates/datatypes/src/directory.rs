@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use esds_core::{CommutativitySpec, KeyedDataType, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A directory mapping names to attribute maps.
 ///
@@ -35,7 +34,7 @@ pub struct Directory;
 pub type DirectoryState = BTreeMap<String, BTreeMap<String, String>>;
 
 /// Operators of [`Directory`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum DirectoryOp {
     /// Register a name with an empty attribute map (no-op if present).
     CreateName(String),
@@ -112,7 +111,7 @@ impl DirectoryOp {
 }
 
 /// Values reported by [`Directory`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum DirectoryValue {
     /// Whether `CreateName` actually created (false = already present).
     Created(bool),

@@ -5,7 +5,6 @@
 use std::collections::BTreeSet;
 
 use esds_core::{CommutativitySpec, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A grow-only set of `u64` elements.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub struct GSet;
 
 /// Operators of [`GSet`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum GSetOp {
     /// Insert an element (idempotent; returns [`GSetValue::Ack`]).
     Add(u64),
@@ -35,7 +34,7 @@ pub enum GSetOp {
 }
 
 /// Values reported by [`GSet`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum GSetValue {
     /// Acknowledgement of an insertion.
     Ack,

@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 
 use esds_core::{CommutativitySpec, KeyedDataType, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A key-value store with string keys and values.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 pub struct KvStore;
 
 /// Operators of [`KvStore`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum KvOp {
     /// Insert or overwrite a key.
     Put(String, String),
@@ -60,7 +59,7 @@ impl KvOp {
 }
 
 /// Values reported by [`KvStore`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum KvValue {
     /// Acknowledgement of a put.
     Ack,

@@ -2,7 +2,6 @@
 //! (append order is observable), stressing the service's ordering machinery.
 
 use esds_core::{CommutativitySpec, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// An append-only log of strings.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub struct AppendLog;
 
 /// Operators of [`AppendLog`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LogOp {
     /// Append an entry (returns [`LogValue::Ack`]).
     Append(String),
@@ -39,7 +38,7 @@ impl LogOp {
 }
 
 /// Values reported by [`AppendLog`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LogValue {
     /// Acknowledgement of an append.
     Ack,

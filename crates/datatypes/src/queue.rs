@@ -10,7 +10,6 @@
 use std::collections::VecDeque;
 
 use esds_core::{CommutativitySpec, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A FIFO queue of `i64` items, initially empty.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 pub struct Queue;
 
 /// Operators of [`Queue`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum QueueOp {
     /// Append an item at the back (returns [`QueueValue::Ack`]).
     Enqueue(i64),
@@ -44,7 +43,7 @@ pub enum QueueOp {
 }
 
 /// Values reported by [`Queue`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum QueueValue {
     /// Acknowledgement of an enqueue.
     Ack,

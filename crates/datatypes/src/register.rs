@@ -2,7 +2,6 @@
 //! type, and the canonical *non-commuting* one (two writes conflict).
 
 use esds_core::{CommutativitySpec, SerialDataType};
-use serde::{Deserialize, Serialize};
 
 /// A read/write register over `i64` with initial value `0`.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub struct Register;
 
 /// Operators of [`Register`].
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RegisterOp {
     /// Overwrite the register.
     Write(i64),
@@ -32,7 +31,7 @@ pub enum RegisterOp {
 }
 
 /// Values reported by [`Register`] operators.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RegisterValue {
     /// Acknowledgement of a write (state-independent, so writes are
     /// oblivious to everything).

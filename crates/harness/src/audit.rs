@@ -2,9 +2,8 @@
 //! [`StreamingChecker`] from [`StepReport`]s and the advancing stable
 //! prefix, maintaining the checker's stream contract mechanically.
 //!
-//! This is the simulated-deployment analogue of the runtime sidecar
-//! (`esds-runtime`) and the wire auditor (`esds-wire`): same checker,
-//! different tap. The driver observes the *externally visible* trace
+//! This is the simulated-deployment analogue of the wire auditor
+//! (`esds-wire`): same checker, different tap. The driver observes the *externally visible* trace
 //! (requests and computed responses) plus the system's stable watermark
 //! — it never reads replica internals, so a green audit is a black-box
 //! statement about the deployment, unlike the white-box
@@ -54,12 +53,6 @@ impl<T: SerialDataType> AuditDriver<T> {
         AuditDriver {
             checker: StreamingChecker::new(dt),
         }
-    }
-
-    /// A driver around a pre-configured checker (custom grace window or
-    /// `check_all` mode).
-    pub fn with_checker(checker: StreamingChecker<T>) -> Self {
-        AuditDriver { checker }
     }
 
     /// Feeds one step's externally-visible actions: new requests, then

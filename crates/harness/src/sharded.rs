@@ -417,11 +417,6 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
         self.migration.is_some()
     }
 
-    /// The slots currently frozen by the active migration.
-    pub fn frozen_slots(&self) -> BTreeSet<u16> {
-        self.coord.frozen().clone()
-    }
-
     /// A group's operations on `slot`, restricted to its stable prefix,
     /// in final minimum-label order — the slot's share of the group's
     /// transferable history.
@@ -694,12 +689,6 @@ impl<T: KeyedDataType + Clone> ShardedSimSystem<T> {
             Some((shard, local)) => self.shards[shard as usize].response(local?),
             None => self.coord.value_of(id),
         }
-    }
-
-    /// Total operations submitted through this system (excluding
-    /// internal stable-prefix replays).
-    pub fn submitted_count(&self) -> usize {
-        self.coord.ids().count()
     }
 
     /// Total operations answered across all shards (including internal

@@ -12,7 +12,8 @@
 //!    `None` — no allocation, no atomics, no sharing. Every layer
 //!    defaults to disabled, so deployments that never asked for
 //!    metrics pay nothing (ratio-asserted by the facade's overhead
-//!    smoke test and measured by `fig_obs_overhead`).
+//!    smoke test and measured by the `ledger` benchmark's
+//!    `obs.overhead_share` row).
 //! 3. **External sources plug in.** Subsystems that already keep their
 //!    own atomics (the chaos proxy's drop/dup/reorder counters) are
 //!    registered by handle, so snapshots read them live instead of

@@ -1,12 +1,13 @@
-//! A real multithreaded deployment of the ESDS algorithm.
+//! One replica group on OS threads: the per-shard building block of
+//! [`crate::ShardedService`].
 //!
 //! Each replica runs on its own OS thread, driving the *same*
 //! [`esds_alg::Node`] as the simulator (which also owns a durable
-//! replica's sync-before-release); a network thread
-//! routes all messages and injects a configurable propagation delay,
-//! standing in for the paper's workstation network (Cheiner ran on
-//! MPI-connected Unix workstations). Clients interact
-//! through [`RuntimeClient`] handles that own a front end.
+//! replica's sync-before-release); a network thread routes all messages
+//! and injects a fixed propagation delay, standing in for the paper's
+//! workstation network (Cheiner ran on MPI-connected Unix workstations).
+//! Clients interact through [`RuntimeClient`] handles that own a front
+//! end.
 
 use std::collections::BinaryHeap;
 use std::thread::JoinHandle;
@@ -20,52 +21,28 @@ use esds_alg::{
 use esds_core::{ClientId, OpId, ReplicaId, SerialDataType};
 use parking_lot::Mutex;
 
-/// Configuration of the threaded deployment.
+/// Injected one-way network delay for every message.
+const NET_DELAY: Duration = Duration::from_millis(1);
+
+/// Configuration of the threaded deployment (per shard).
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Number of replica threads.
     pub n_replicas: usize,
     /// Wall-clock gossip interval.
     pub gossip_interval: Duration,
-    /// Injected one-way network delay for every message.
-    pub net_delay: Duration,
     /// Replica configuration.
     pub replica: ReplicaConfig,
-    /// Metrics registry replica threads and clients report into
-    /// (`replica{r}/…`, `client{c}/…`). Defaults to disabled: every
-    /// handle is a no-op and instrumentation costs one branch.
-    pub obs: esds_obs::MetricsRegistry,
-    /// Sampled op-lifecycle tracer. Defaults to disabled.
-    pub tracer: esds_obs::OpTracer,
 }
 
 impl RuntimeConfig {
-    /// Defaults: 1 ms delay, 5 ms gossip period, metrics and tracing
-    /// disabled.
+    /// Defaults: 5 ms gossip period, the default [`ReplicaConfig`].
     pub fn new(n_replicas: usize) -> Self {
         RuntimeConfig {
             n_replicas,
             gossip_interval: Duration::from_millis(5),
-            net_delay: Duration::from_millis(1),
             replica: ReplicaConfig::default(),
-            obs: esds_obs::MetricsRegistry::disabled(),
-            tracer: esds_obs::OpTracer::disabled(),
         }
-    }
-
-    /// Installs a live metrics registry for the service's replica
-    /// threads and every client created from it.
-    #[must_use]
-    pub fn with_obs(mut self, obs: esds_obs::MetricsRegistry) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Installs a sampled op-lifecycle tracer.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: esds_obs::OpTracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 }
 
@@ -97,7 +74,7 @@ enum NetInput<T: SerialDataType> {
 
 /// A predicate over operators, shipped to a replica thread by
 /// [`RuntimeService::count_unstable`].
-pub type OpFilter<T> = Box<dyn Fn(&<T as SerialDataType>::Operator) -> bool + Send>;
+pub(crate) type OpFilter<T> = Box<dyn Fn(&<T as SerialDataType>::Operator) -> bool + Send>;
 
 enum ReplicaInput<T: SerialDataType> {
     Request(RequestMsg<T::Operator>),
@@ -112,14 +89,14 @@ enum ReplicaInput<T: SerialDataType> {
 /// applied). The sharded layer's slot migration uses it to find a slot's
 /// **stable prefix** — the operations whose order is final at every
 /// replica — which is the unit of state transfer during a handoff.
-pub struct ReplicaSnapshot<T: SerialDataType> {
+pub(crate) struct ReplicaSnapshot<T: SerialDataType> {
     /// The replica's local label order.
-    pub order: Vec<esds_core::OpId>,
+    pub(crate) order: Vec<esds_core::OpId>,
     /// Operations the replica knows are stable at *every* replica; their
     /// labels — and positions in `order` — can never change again.
-    pub stable_everywhere: std::collections::BTreeSet<esds_core::OpId>,
+    pub(crate) stable_everywhere: std::collections::BTreeSet<esds_core::OpId>,
     /// The operator of every operation the replica has received.
-    pub ops: std::collections::BTreeMap<esds_core::OpId, T::Operator>,
+    pub(crate) ops: std::collections::BTreeMap<esds_core::OpId, T::Operator>,
 }
 
 struct Timed<T: SerialDataType> {
@@ -149,15 +126,14 @@ impl<T: SerialDataType> PartialOrd for Timed<T> {
 /// The shared registry of per-client response channels.
 type ClientRegistry<V> = std::sync::Arc<Mutex<Vec<Sender<ResponseMsg<V>>>>>;
 
-/// A recovered replica paired with its durable backend, as handed to
-/// [`RuntimeService::start_durable`] (and, per shard, to
-/// `ShardedService::start_durable`).
-pub type DurableReplica<T> = (Replica<T>, Box<dyn Persistence<T>>);
+/// A recovered replica paired with its durable backend, as handed (per
+/// shard) to [`crate::ShardedService::start_durable`].
+pub(crate) type DurableReplica<T> = (Replica<T>, Box<dyn Persistence<T>>);
 
 /// A cheap cloneable handle for fetching [`ReplicaSnapshot`]s without
-/// borrowing the [`RuntimeService`] — what a background audit sidecar
-/// polls from its own thread.
-pub struct InspectHandle<T: SerialDataType> {
+/// borrowing the [`RuntimeService`] — what a sharded client's stability
+/// probes read through.
+pub(crate) struct InspectHandle<T: SerialDataType> {
     inputs: Vec<Sender<ReplicaInput<T>>>,
 }
 
@@ -171,14 +147,14 @@ impl<T: SerialDataType> Clone for InspectHandle<T> {
 
 impl<T: SerialDataType> InspectHandle<T> {
     /// Number of replicas behind this handle.
-    pub fn n_replicas(&self) -> usize {
+    pub(crate) fn n_replicas(&self) -> usize {
         self.inputs.len()
     }
 
     /// A consistent snapshot of one replica, or `None` once the service
-    /// has shut down (the handle outliving the service is not an error
-    /// for a sidecar — it just stops observing).
-    pub fn snapshot(&self, replica: usize) -> Option<ReplicaSnapshot<T>> {
+    /// has shut down (the handle outliving the service is not an error:
+    /// there is just nothing left to observe).
+    pub(crate) fn snapshot(&self, replica: usize) -> Option<ReplicaSnapshot<T>> {
         let (tx, rx) = bounded(1);
         self.inputs[replica].send(ReplicaInput::Inspect(tx)).ok()?;
         rx.recv().ok()
@@ -186,19 +162,10 @@ impl<T: SerialDataType> InspectHandle<T> {
 }
 
 /// A handle for one client of the running service.
-pub struct RuntimeClient<T: SerialDataType> {
+pub(crate) struct RuntimeClient<T: SerialDataType> {
     fe: FrontEnd<T::Operator, T::Value>,
     rx: Receiver<ResponseMsg<T::Value>>,
     net_tx: Sender<NetInput<T>>,
-    audit: Option<crate::AuditTap<T>>,
-    m_submitted: esds_obs::Counter,
-    m_answered: esds_obs::Counter,
-    m_resends: esds_obs::Counter,
-    /// Bounded (log-bucketed) histogram of await-to-answer times — the
-    /// fixed-footprint service-side replacement for the simulator's
-    /// exact, unbounded `esds_sim::Histogram`.
-    m_await_us: esds_obs::Histo,
-    tracer: esds_obs::OpTracer,
 }
 
 impl<T: SerialDataType> RuntimeClient<T>
@@ -207,16 +174,8 @@ where
     T::Value: Clone,
 {
     /// Submits an operation; returns its id immediately.
-    pub fn submit(&mut self, op: T::Operator, prev: &[OpId], strict: bool) -> OpId {
+    pub(crate) fn submit(&mut self, op: T::Operator, prev: &[OpId], strict: bool) -> OpId {
         let (id, sends) = self.fe.submit(op, prev.iter().copied(), strict);
-        self.m_submitted.inc();
-        if self.tracer.is_enabled() {
-            self.tracer
-                .emit(0, &id.to_string(), esds_obs::Stage::Submit);
-        }
-        if let (Some(tap), Some((_, first))) = (&self.audit, sends.first()) {
-            tap.tap_request(first.desc.clone());
-        }
         for (r, msg) in sends {
             let _ = self.net_tx.send(NetInput::Msg(NetMsg {
                 to: Endpoint::Replica(r),
@@ -229,15 +188,12 @@ where
     /// Waits until `id` is answered or `timeout` elapses; drains any other
     /// responses that arrive meanwhile. Re-sends pending requests every
     /// 50 ms while waiting (the front-end retry of paper footnote 3).
-    pub fn await_response(&mut self, id: OpId, timeout: Duration) -> Option<T::Value> {
+    pub(crate) fn await_response(&mut self, id: OpId, timeout: Duration) -> Option<T::Value> {
         let start = Instant::now();
         let deadline = start + timeout;
         let mut next_retry = start + Duration::from_millis(50);
         loop {
             if let Some(v) = self.fe.value_of(id) {
-                if self.m_await_us.is_enabled() {
-                    self.m_await_us.record(start.elapsed().as_micros() as u64);
-                }
                 return Some(v.clone());
             }
             let now = Instant::now();
@@ -246,7 +202,6 @@ where
             }
             if now >= next_retry {
                 for (r, msg) in self.fe.resend_pending() {
-                    self.m_resends.inc();
                     let _ = self.net_tx.send(NetInput::Msg(NetMsg {
                         to: Endpoint::Replica(r),
                         payload: Payload::Request(msg),
@@ -256,7 +211,9 @@ where
             }
             let wait = deadline.min(next_retry).saturating_duration_since(now);
             match self.rx.recv_timeout(wait.max(Duration::from_micros(100))) {
-                Ok(msg) => self.take_response(msg),
+                Ok(msg) => {
+                    self.fe.on_response(msg);
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return None,
             }
@@ -264,60 +221,27 @@ where
     }
 
     /// The value previously returned for `id`, if completed.
-    pub fn value_of(&self, id: OpId) -> Option<&T::Value> {
+    pub(crate) fn value_of(&self, id: OpId) -> Option<&T::Value> {
         self.fe.value_of(id)
     }
 
     /// Drains any responses already delivered to this client's channel
     /// into the front end, without blocking. Makes [`RuntimeClient::value_of`]
     /// reflect everything the network has handed over so far.
-    pub fn poll_responses(&mut self) {
+    pub(crate) fn poll_responses(&mut self) {
         while let Ok(msg) = self.rx.try_recv() {
-            self.take_response(msg);
-        }
-    }
-
-    /// Folds one wire response into the front end and, on first
-    /// delivery (duplicates are dropped by the front end), into the
-    /// audit tap — witness included, so the sidecar's checker can run
-    /// the Theorem 5.7 check.
-    fn take_response(&mut self, msg: ResponseMsg<T::Value>) {
-        let witness = msg.witness.clone();
-        if let Some(d) = self.fe.on_response(msg) {
-            self.m_answered.inc();
-            if self.tracer.is_enabled() {
-                self.tracer
-                    .emit(0, &d.id.to_string(), esds_obs::Stage::Answer);
-            }
-            if let Some(tap) = &self.audit {
-                tap.tap_response(d.id, d.value, witness);
-            }
+            self.fe.on_response(msg);
         }
     }
 
     /// The client identity.
-    pub fn client(&self) -> ClientId {
+    pub(crate) fn client(&self) -> ClientId {
         self.fe.client()
     }
 }
 
-/// The running threaded service: replica threads + network thread.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use esds_datatypes::{Counter, CounterOp, CounterValue};
-/// use esds_runtime::{RuntimeConfig, RuntimeService};
-///
-/// let mut svc = RuntimeService::start(Counter, RuntimeConfig::new(2));
-/// let mut client = svc.client();
-/// let inc = client.submit(CounterOp::Increment(3), &[], false);
-/// let v = client.await_response(inc, Duration::from_secs(5));
-/// assert_eq!(v, Some(CounterValue::Ack));
-/// svc.shutdown();
-/// ```
-pub struct RuntimeService<T: SerialDataType> {
+/// One running replica group: replica threads + network thread.
+pub(crate) struct RuntimeService<T: SerialDataType> {
     net_tx: Sender<NetInput<T>>,
     client_reg: ClientRegistry<T::Value>,
     n_replicas: usize,
@@ -325,8 +249,6 @@ pub struct RuntimeService<T: SerialDataType> {
     replica_threads: Vec<JoinHandle<Replica<T>>>,
     replica_inputs: Vec<Sender<ReplicaInput<T>>>,
     net_thread: Option<JoinHandle<()>>,
-    obs: esds_obs::MetricsRegistry,
-    tracer: esds_obs::OpTracer,
 }
 
 impl<T> RuntimeService<T>
@@ -341,7 +263,7 @@ where
     /// # Panics
     ///
     /// Panics if `n_replicas` is zero.
-    pub fn start(dt: T, config: RuntimeConfig) -> Self {
+    pub(crate) fn start(dt: T, config: RuntimeConfig) -> Self {
         assert!(config.n_replicas > 0, "need at least one replica");
         let n = config.n_replicas;
         let nodes = (0..n)
@@ -363,7 +285,7 @@ where
     /// # Panics
     ///
     /// Panics if `replicas.len() != config.n_replicas`.
-    pub fn start_durable(config: RuntimeConfig, replicas: Vec<DurableReplica<T>>) -> Self {
+    pub(crate) fn start_durable(config: RuntimeConfig, replicas: Vec<DurableReplica<T>>) -> Self {
         assert_eq!(
             replicas.len(),
             config.n_replicas,
@@ -423,11 +345,6 @@ where
             replica_inputs.push(tx);
             let net = net_tx.clone();
             let interval = config.gossip_interval;
-            // No-op handles when the registry is disabled.
-            let scope = config.obs.scoped(format!("replica{i}"));
-            let m_requests = scope.counter("requests");
-            let m_gossip_out = scope.counter("gossip_out");
-            let tracer = config.tracer.clone();
             let links = links.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("esds-replica-{i}"))
@@ -440,7 +357,6 @@ where
                                 break;
                             };
                             for (p, g) in outbox {
-                                m_gossip_out.inc();
                                 let _ = net.send(NetInput::Msg(NetMsg {
                                     to: Endpoint::Replica(p),
                                     payload: Payload::Gossip(Box::new(g)),
@@ -455,17 +371,7 @@ where
                             Err(RecvTimeoutError::Disconnected) => break,
                         };
                         let effects = match input {
-                            ReplicaInput::Request(m) => {
-                                m_requests.inc();
-                                if tracer.is_enabled() {
-                                    tracer.emit(
-                                        0,
-                                        &m.desc.id.to_string(),
-                                        esds_obs::Stage::ReplicaAccept,
-                                    );
-                                }
-                                node.on_request(m.desc)
-                            }
+                            ReplicaInput::Request(m) => node.on_request(m.desc),
                             ReplicaInput::Gossip(g) => node.on_gossip(*g),
                             ReplicaInput::Inspect(tx) => {
                                 let rep = node.replica();
@@ -512,7 +418,6 @@ where
         }
 
         // Network thread: applies the injected delay, then routes.
-        let delay = config.net_delay;
         let reg = client_reg.clone();
         let replica_inputs_clone = replica_inputs.clone();
         let net_thread = std::thread::Builder::new()
@@ -554,7 +459,7 @@ where
                     match net_rx.recv_timeout(wait.max(Duration::from_micros(100))) {
                         Ok(NetInput::Msg(msg)) => {
                             heap.push(Timed {
-                                due: Instant::now() + delay,
+                                due: Instant::now() + NET_DELAY,
                                 seq,
                                 msg,
                             });
@@ -575,19 +480,11 @@ where
             replica_threads,
             replica_inputs,
             net_thread: Some(net_thread),
-            obs: config.obs,
-            tracer: config.tracer,
         }
     }
 
-    /// The service's metrics registry (disabled unless installed via
-    /// [`RuntimeConfig::with_obs`]).
-    pub fn metrics(&self) -> &esds_obs::MetricsRegistry {
-        &self.obs
-    }
-
     /// Number of replica threads in this group.
-    pub fn n_replicas(&self) -> usize {
+    pub(crate) fn n_replicas(&self) -> usize {
         self.n_replicas
     }
 
@@ -597,7 +494,7 @@ where
     /// # Panics
     ///
     /// Panics if `replica` is out of range or the service is shut down.
-    pub fn snapshot(&self, replica: usize) -> ReplicaSnapshot<T> {
+    pub(crate) fn snapshot(&self, replica: usize) -> ReplicaSnapshot<T> {
         let (tx, rx) = bounded(1);
         self.replica_inputs[replica]
             .send(ReplicaInput::Inspect(tx))
@@ -615,7 +512,7 @@ where
     /// # Panics
     ///
     /// Panics if `replica` is out of range or the service is shut down.
-    pub fn count_unstable(&self, replica: usize, filter: OpFilter<T>) -> usize {
+    pub(crate) fn count_unstable(&self, replica: usize, filter: OpFilter<T>) -> usize {
         let (tx, rx) = bounded(1);
         self.replica_inputs[replica]
             .send(ReplicaInput::CountUnstable(filter, tx))
@@ -625,24 +522,11 @@ where
 
     /// Creates a new client attached (fixed policy) to replica
     /// `client mod n`, like the simulator's default.
-    pub fn client(&mut self) -> RuntimeClient<T> {
-        self.make_client(None)
-    }
-
-    /// Creates a client whose externally-visible trace (requests and
-    /// first-delivery responses, witnesses included) is folded into the
-    /// given audit tap — the client-side half of the streaming-audit
-    /// sidecar (see [`crate::AuditSidecar`]).
-    pub fn client_with_audit(&mut self, tap: crate::AuditTap<T>) -> RuntimeClient<T> {
-        self.make_client(Some(tap))
-    }
-
-    fn make_client(&mut self, audit: Option<crate::AuditTap<T>>) -> RuntimeClient<T> {
+    pub(crate) fn client(&mut self) -> RuntimeClient<T> {
         let c = ClientId(self.next_client);
         self.next_client += 1;
         let (tx, rx) = bounded(1024);
         self.client_reg.lock().push(tx);
-        let scope = self.obs.scoped(format!("client{}", c.0));
         RuntimeClient {
             fe: FrontEnd::new(
                 c,
@@ -651,18 +535,11 @@ where
             ),
             rx,
             net_tx: self.net_tx.clone(),
-            audit,
-            m_submitted: scope.counter("ops_submitted"),
-            m_answered: scope.counter("ops_answered"),
-            m_resends: scope.counter("resends"),
-            m_await_us: scope.histogram("await_us"),
-            tracer: self.tracer.clone(),
         }
     }
 
-    /// A cloneable snapshot handle that does not borrow the service —
-    /// hand it to an [`crate::AuditSidecar`] (or any monitoring thread).
-    pub fn inspect_handle(&self) -> InspectHandle<T> {
+    /// A cloneable snapshot handle that does not borrow the service.
+    pub(crate) fn inspect_handle(&self) -> InspectHandle<T> {
         InspectHandle {
             inputs: self.replica_inputs.clone(),
         }
@@ -674,7 +551,7 @@ where
     /// Safe to call while [`RuntimeClient`] handles are still alive: the
     /// network thread is stopped by an explicit control message, not by
     /// waiting for every sender clone to disconnect.
-    pub fn shutdown(mut self) -> Vec<Replica<T>> {
+    pub(crate) fn shutdown(mut self) -> Vec<Replica<T>> {
         for tx in &self.replica_inputs {
             let _ = tx.send(ReplicaInput::Shutdown);
         }
@@ -700,7 +577,7 @@ where
     /// kill lands may still be processed — and persisted — before the
     /// thread notices; the durability contract is indifferent to where
     /// exactly the cut falls.)
-    pub fn kill(mut self) {
+    pub(crate) fn kill(mut self) {
         // Stop routing first, so no replica input arrives after the ones
         // already queued when the kill landed.
         let _ = self.net_tx.send(NetInput::Shutdown);
@@ -708,7 +585,7 @@ where
             let _ = h.join();
         }
         // Stop replicas by explicit message, not by dropping senders:
-        // [`InspectHandle`]s (audit sidecars, gather barriers) hold
+        // [`InspectHandle`]s (sharded clients' stability probes) hold
         // clones of these senders and may legitimately outlive the
         // service, so disconnection alone never comes. `Shutdown` breaks
         // the replica loop before any persist — the cut stays abrupt.

@@ -1,6 +1,7 @@
 //! The threaded **sharded** deployment: one [`RuntimeService`] (replica
 //! threads + network thread) per shard, behind a single client handle —
-//! with **live rebalancing** by slot migration.
+//! with **live rebalancing** by slot migration, the one thing only this
+//! runtime does under real concurrency.
 //!
 //! Routing, cross-shard `prev`, scatter-gather with its barrier-strict
 //! mode, and frozen-slot deferral are `esds_core::ShardCoordinator`'s
@@ -55,7 +56,14 @@ use esds_core::{
     ShardedOpId,
 };
 
-use crate::service::{InspectHandle, RuntimeClient, RuntimeConfig, RuntimeService};
+use crate::service::{DurableReplica, InspectHandle, RuntimeClient, RuntimeConfig, RuntimeService};
+
+/// How long a submitting client waits out a foreign-shard `prev` (or a
+/// frozen slot, or a barrier) before declaring the deployment broken.
+const CROSS_SHARD_WAIT: Duration = Duration::from_secs(30);
+
+/// Timeout for a migration's drain, stability and replay phases.
+const MIGRATION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Routing state shared by the service and every client handle.
 struct RouteState {
@@ -89,8 +97,9 @@ fn held_slots(slot: Option<u16>, table: &RoutingTable) -> std::ops::Range<u16> {
 /// up: `client id → [(shard, front end, inspect handle)]`.
 type Mailbox<T> = Arc<Mutex<BTreeMap<u32, Vec<(u32, RuntimeClient<T>, InspectHandle<T>)>>>>;
 
-/// The running sharded service: `S` independent [`RuntimeService`]s
-/// behind a shared, versioned routing table.
+/// The running sharded service: `S` independent replica groups, each on
+/// its own replica and network threads, behind a shared, versioned
+/// routing table.
 ///
 /// # Examples
 ///
@@ -115,10 +124,6 @@ pub struct ShardedService<T: KeyedDataType> {
     mailbox: Mailbox<T>,
     /// The identity of every client handle created so far, ascending.
     handles: Vec<ClientId>,
-    /// Timeout a client uses when waiting out a foreign-shard `prev`.
-    cross_shard_wait: Duration,
-    /// Timeout for a migration's drain/stability/replay phases.
-    migration_timeout: Duration,
 }
 
 impl<T> ShardedService<T>
@@ -133,7 +138,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `n_shards` is zero (and see [`RuntimeService::start`]).
+    /// Panics if `n_shards` is zero or `config.n_replicas` is zero.
     pub fn start(dt: T, n_shards: usize, config: RuntimeConfig) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         let shards = (0..n_shards)
@@ -143,12 +148,15 @@ where
     }
 
     /// Starts a sharded service over **pre-built** replica groups, each
-    /// replica paired with its durable backend (see
-    /// [`RuntimeService::start_durable`]) — the restart-from-disk entry
-    /// point: the caller recovers every `(shard, replica)` store and
-    /// hands the recovered replicas here, outer index = shard. Shards
-    /// added later by [`ShardedService::add_shard`] are volatile (no
-    /// backend); persist them by restarting the service durably.
+    /// replica paired with its durable backend — the restart-from-disk
+    /// entry point: the caller recovers every `(shard, replica)` store
+    /// and hands the recovered replicas here, outer index = shard. Each
+    /// replica syncs every input before releasing its effects; a persist
+    /// failure stops that replica's thread, as if its machine had lost
+    /// power. New front ends are numbered above every client identity
+    /// brought back from disk. Shards added later by
+    /// [`ShardedService::add_shard`] are volatile (no backend); persist
+    /// them by restarting the service durably.
     ///
     /// # Panics
     ///
@@ -157,7 +165,7 @@ where
     pub fn start_durable(
         dt: T,
         config: RuntimeConfig,
-        shard_replicas: Vec<Vec<crate::DurableReplica<T>>>,
+        shard_replicas: Vec<Vec<DurableReplica<T>>>,
     ) -> Self {
         assert!(!shard_replicas.is_empty(), "need at least one shard");
         let shards = shard_replicas
@@ -194,24 +202,7 @@ where
             dt,
             config,
             shards,
-            cross_shard_wait: Duration::from_secs(30),
-            migration_timeout: Duration::from_secs(30),
         }
-    }
-
-    /// Overrides the timeout used to wait for foreign-shard predecessors
-    /// at submission time (default 30 s).
-    #[must_use]
-    pub fn with_cross_shard_wait(mut self, d: Duration) -> Self {
-        self.cross_shard_wait = d;
-        self
-    }
-
-    /// Overrides the migration timeout (default 30 s).
-    #[must_use]
-    pub fn with_migration_timeout(mut self, d: Duration) -> Self {
-        self.migration_timeout = d;
-        self
     }
 
     /// The current routing table (a snapshot — the live table is shared
@@ -257,13 +248,13 @@ where
             inspects,
             unsettled: BTreeMap::new(),
             probes: BTreeSet::new(),
-            cross_shard_wait: self.cross_shard_wait,
         }
     }
 
     /// An [`InspectHandle`] onto one shard's replica group — what a
     /// barrier-cut audit needs to obtain the shard's eventual order.
-    pub fn inspect_handle(&self, shard: u32) -> InspectHandle<T> {
+    #[cfg(test)]
+    fn inspect_handle(&self, shard: u32) -> InspectHandle<T> {
         self.shards[shard as usize].inspect_handle()
     }
 
@@ -310,7 +301,7 @@ where
         self.shards.push(svc);
 
         let slots = plan.slots();
-        let deadline = Instant::now() + self.migration_timeout;
+        let deadline = Instant::now() + MIGRATION_TIMEOUT;
         // Phase 1: freeze. Operations on migrating slots now stay pending
         // in their handles' coordinators.
         {
@@ -425,9 +416,12 @@ where
         self.shards.into_iter().map(|s| s.shutdown()).collect()
     }
 
-    /// Kills every shard abruptly (see [`RuntimeService::kill`]): no
-    /// final checkpoint, replica states discarded, on-disk images left
-    /// exactly as the last per-input syncs wrote them.
+    /// Kills every shard abruptly — the threaded stand-in for `kill -9`
+    /// of the whole deployment: no final checkpoint or flush, replica
+    /// states discarded, on-disk images left exactly as the last
+    /// per-input syncs wrote them, so a later
+    /// [`ShardedService::start_durable`] over the same directories
+    /// exercises the real recovery path.
     pub fn kill(self) {
         for s in self.shards {
             s.kill();
@@ -435,9 +429,9 @@ where
     }
 }
 
-/// A client handle of a [`ShardedService`]: one [`RuntimeClient`] per
-/// shard, multiplexed behind global [`ShardedOpId`]s by a coordinator of
-/// its own.
+/// A client handle of a [`ShardedService`]: one front end per shard,
+/// multiplexed behind global [`ShardedOpId`]s by a coordinator of its
+/// own.
 ///
 /// The handle resolves only identifiers it issued itself; `prev` sets may
 /// reference any of this client's earlier submissions (the common case —
@@ -456,7 +450,6 @@ pub struct ShardedClient<T: KeyedDataType> {
     unsettled: BTreeMap<ShardedOpId, Option<u16>>,
     /// Stability probes the next step answers.
     probes: BTreeSet<u32>,
-    cross_shard_wait: Duration,
 }
 
 impl<T: KeyedDataType> ShardedClient<T>
@@ -612,14 +605,13 @@ where
     /// # Panics
     ///
     /// Panics if `prev` names an id this handle did not issue, or if the
-    /// operation is still blocked after the configured cross-shard
-    /// timeout (the deployment is then considered broken — the same
-    /// situation in which [`ShardedClient::await_response`] would return
-    /// `None`).
+    /// operation is still blocked after the 30 s cross-shard timeout
+    /// (the deployment is then considered broken — the same situation in
+    /// which [`ShardedClient::await_response`] would return `None`).
     pub fn submit(&mut self, op: T::Operator, prev: &[ShardedOpId], strict: bool) -> ShardedOpId {
         self.sync_shards();
         let gid = self.coord.submit(self.id, op, prev, strict);
-        let deadline = Instant::now() + self.cross_shard_wait;
+        let deadline = Instant::now() + CROSS_SHARD_WAIT;
         // A barrier's first probes are answered by the very next step.
         let mut probed = false;
         loop {
@@ -633,7 +625,7 @@ where
                 !remaining.is_zero(),
                 "{gid} still blocked on {blocker:?} after {:?} (cross-shard predecessor \
                  unanswered, or migration stuck?)",
-                self.cross_shard_wait
+                CROSS_SHARD_WAIT
             );
             match blocker {
                 Some(Blocker::Unanswered { shard, local }) => {

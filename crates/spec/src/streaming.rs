@@ -65,8 +65,7 @@
 //! [`on_stabilize`] in eventual-order positions (the successive elements
 //! of the system's stable prefix); feed each response no later than
 //! `grace` retirements after its operation stabilizes. The drivers in
-//! `esds-harness`, `esds-runtime` and `esds-wire` maintain this contract
-//! mechanically.
+//! `esds-harness` and `esds-wire` maintain this contract mechanically.
 //!
 //! [`on_request`]: StreamingChecker::on_request
 //! [`on_response`]: StreamingChecker::on_response

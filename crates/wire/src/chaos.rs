@@ -84,13 +84,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Adds a per-frame one-way delay on top of an existing fault model.
-    #[must_use]
-    pub fn with_delay(mut self, d: Duration) -> Self {
-        self.delay = d;
-        self
-    }
-
     /// The fault model named by the `ESDS_CHAOS_*` environment variables —
     /// how the CI chaos matrix parameterizes the sharded-wire lane:
     ///

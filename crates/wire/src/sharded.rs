@@ -98,6 +98,10 @@ const RETRY_EVERY: Duration = Duration::from_millis(50);
 /// every response); this sleep bounds the resulting spin instead.
 const AWAIT_NAP: Duration = Duration::from_micros(200);
 
+/// How long a submitting client waits for a foreign-shard predecessor's
+/// response before declaring the deployment broken.
+const CROSS_SHARD_WAIT: Duration = Duration::from_secs(30);
+
 /// Configuration of a sharded TCP deployment.
 #[derive(Clone, Debug)]
 pub struct ShardedWireConfig {
@@ -108,9 +112,6 @@ pub struct ShardedWireConfig {
     /// per-shard listener (per-proxy seeds are derived from the config's
     /// seed, so distinct links get distinct fault streams).
     pub chaos: Option<ChaosConfig>,
-    /// How long a submitting client waits for a foreign-shard
-    /// predecessor's response before declaring the deployment broken.
-    pub cross_shard_wait: Duration,
     /// Metrics registry shared by every node, proxy, and client of the
     /// deployment (node metrics scoped `shard{s}/replica{r}/…`, proxy
     /// counters `shard{s}/chaos{r}/…`, client counters `client{c}/…`).
@@ -122,14 +123,12 @@ pub struct ShardedWireConfig {
 }
 
 impl ShardedWireConfig {
-    /// Defaults: `n_replicas` per shard, 5 ms gossip, plain gossip
-    /// encoding, no chaos, 30 s cross-shard wait, metrics and tracing
-    /// disabled.
+    /// Defaults: `n_replicas` per shard, 5 ms gossip, no chaos, metrics
+    /// and tracing disabled.
     pub fn new(n_replicas: usize) -> Self {
         ShardedWireConfig {
             cluster: TcpClusterConfig::new(n_replicas),
             chaos: None,
-            cross_shard_wait: Duration::from_secs(30),
             obs: esds_obs::MetricsRegistry::disabled(),
             tracer: esds_obs::OpTracer::disabled(),
         }
@@ -139,13 +138,6 @@ impl ShardedWireConfig {
     #[must_use]
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Overrides the cross-shard predecessor wait (default 30 s).
-    #[must_use]
-    pub fn with_cross_shard_wait(mut self, d: Duration) -> Self {
-        self.cross_shard_wait = d;
         self
     }
 
@@ -211,7 +203,6 @@ pub struct ShardedWireService<T: KeyedDataType> {
     table: Arc<Mutex<RoutingTable>>,
     shards: Vec<WireShard<T>>,
     dt: T,
-    cross_shard_wait: Duration,
     next_client: u32,
     obs: esds_obs::MetricsRegistry,
     tracer: esds_obs::OpTracer,
@@ -252,7 +243,6 @@ where
             table,
             shards,
             dt,
-            cross_shard_wait: config.cross_shard_wait,
             next_client: 0,
             obs: config.obs.clone(),
             tracer: config.tracer.clone(),
@@ -419,7 +409,6 @@ where
             probe_due: vec![None; self.shards.len()],
             metrics_seen: vec![0; self.shards.len()],
             metrics_last: vec![None; self.shards.len()],
-            cross_shard_wait: self.cross_shard_wait,
             next_retry: Instant::now() + RETRY_EVERY,
             m_submitted: scope.counter("ops_submitted"),
             m_answered: scope.counter("ops_answered"),
@@ -485,7 +474,6 @@ pub struct ShardedWireClient<T: KeyedDataType> {
     /// snapshot.
     metrics_seen: Vec<u64>,
     metrics_last: Vec<Option<esds_obs::MetricsSnapshot>>,
-    cross_shard_wait: Duration,
     next_retry: Instant,
     m_submitted: esds_obs::Counter,
     m_answered: esds_obs::Counter,
@@ -646,12 +634,12 @@ where
             .emit(shard, &gid.to_string(), esds_obs::Stage::Submit);
         // A ready operation's frame goes out in this very pump.
         self.pump();
-        let deadline = Instant::now() + self.cross_shard_wait;
+        let deadline = Instant::now() + CROSS_SHARD_WAIT;
         assert!(
             self.drive_until(deadline, |c| c.is_released(gid)),
             "{gid} still blocked on {:?} after {:?}",
             self.coord.blocked_on(gid),
-            self.cross_shard_wait
+            CROSS_SHARD_WAIT
         );
         Ok(gid)
     }

@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 
 use esds::datatypes::{KvOp, KvStore};
 use esds::obs::{bucket_index, BoundedHistogram, MetricsRegistry, OpTracer};
-use esds::wire::{ChaosConfig, ShardedWireConfig, ShardedWireService};
+use esds::wire::{
+    ChaosConfig, NodeObs, ShardedWireConfig, ShardedWireService, TcpCluster, TcpClusterConfig,
+};
 use proptest::prelude::*;
 
 /// The CI matrix's fault model, with a 5% loss floor when unconfigured
@@ -115,26 +117,27 @@ proptest! {
 }
 
 /// The zero-cost claim, ratio-asserted at the service level: a
-/// miniature closed-loop `RuntimeService` workload with the default
+/// miniature closed-loop `TcpCluster` workload with the default
 /// (disabled) registry must not be measurably slower than the same
-/// workload with live metrics — the disabled path hands out `None`
-/// handles, so instrumentation sites reduce to a branch. The bound is
-/// deliberately generous (CI timing noise); `fig_obs_overhead` measures
-/// the real ratio.
+/// workload with live node and client metrics — the disabled path hands
+/// out `None` handles, so instrumentation sites reduce to a branch. The
+/// bound is deliberately generous (CI timing noise); the `ledger`
+/// benchmark's `obs.overhead_share` row measures the real share.
 #[test]
 fn disabled_metrics_add_no_measurable_service_cost() {
     fn run(obs: MetricsRegistry) -> Duration {
-        let mut cfg = esds::runtime::RuntimeConfig::new(3).with_obs(obs);
+        let mut cfg = TcpClusterConfig::new(3).with_obs(NodeObs::with_registry(obs.clone()));
         cfg.gossip_interval = Duration::from_millis(5);
-        let mut svc = esds::runtime::RuntimeService::start(KvStore, cfg);
-        let mut c = svc.client();
+        let mut cluster = TcpCluster::launch(KvStore, cfg);
+        let mut c = cluster.client();
+        c.attach_metrics(&obs.scoped(format!("client{}", c.client().0)));
         let start = Instant::now();
         for i in 0..60u32 {
             let id = c.submit(KvOp::put(format!("k{}", i % 8), "v"), &[], false);
             assert!(c.await_response(id, Duration::from_secs(30)).is_some());
         }
         let elapsed = start.elapsed();
-        svc.shutdown();
+        cluster.shutdown();
         elapsed
     }
     // Warm-up evens out thread-spawn and allocator effects.
@@ -150,27 +153,36 @@ fn disabled_metrics_add_no_measurable_service_cost() {
 /// Op-lifecycle spans are real JSONL, carry the expected stages, and
 /// interleave with the audit trace codec: `parse_line` skips them
 /// (`Ok(None)`) instead of erroring, so one file can hold both streams.
+/// Client-side spans (`submit`, `answer`) name the global id (`c0/0`);
+/// the replica's `replica_accept` names the shard-local one (`c0:0`).
 #[test]
 fn lifecycle_spans_feed_the_audit_codec() {
     let buf = Arc::new(Mutex::new(Vec::new()));
-    let cfg = esds::runtime::RuntimeConfig::new(3)
+    let cfg = ShardedWireConfig::new(3)
         .with_obs(MetricsRegistry::new())
         .with_tracer(OpTracer::to_shared_buffer(buf.clone(), 1)); // sample every op
-    let mut svc = esds::runtime::RuntimeService::start(KvStore, cfg);
+    let mut svc = ShardedWireService::launch(KvStore, 1, cfg);
     let mut c = svc.client();
     let id = c.submit(KvOp::put("traced", "v"), &[], false);
     assert!(c.await_response(id, Duration::from_secs(30)).is_some());
+    let (_, desc) = c.local_descriptor(id).expect("issued by this client");
     svc.shutdown();
 
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "sampling 1-in-1 must emit spans");
-    let id_str = id.to_string();
-    for stage in ["submit", "replica_accept", "answer"] {
+    let global = id.to_string();
+    let local = desc.id.to_string();
+    for (stage, id_str) in [
+        ("submit", &global),
+        ("replica_accept", &local),
+        ("answer", &global),
+    ] {
         assert!(
             lines
                 .iter()
-                .any(|l| l.contains(&format!("\"stage\":\"{stage}\"")) && l.contains(&id_str)),
+                .any(|l| l.contains(&format!("\"stage\":\"{stage}\""))
+                    && l.contains(&format!("\"id\":\"{id_str}\""))),
             "missing {stage} span for {id_str} in:\n{text}"
         );
     }

@@ -1,10 +1,15 @@
 //! The TCP deployment (esds-wire) end to end: framed binary protocol over
-//! real sockets, driving the same replica state machines as the simulator.
+//! real sockets, driving the same replica state machines as the simulator
+//! (one thread per node; the counter, kv and single-replica checks are the
+//! smoke tests that the deployment behaves like the simulator).
 
 use std::time::Duration;
 
 use esds::core::OpId;
-use esds::datatypes::{Bank, BankOp, BankValue, Queue, QueueOp, QueueValue};
+use esds::datatypes::{
+    Bank, BankOp, BankValue, Counter, CounterOp, CounterValue, KvOp, KvStore, KvValue, Queue,
+    QueueOp, QueueValue,
+};
 use esds::wire::{TcpCluster, TcpClusterConfig};
 use esds_alg::ReplicaConfig;
 
@@ -84,4 +89,72 @@ fn queue_prev_chain_over_sockets_with_batched_gossip() {
     );
     let want: std::collections::VecDeque<i64> = vec![1, 2, 3].into();
     assert_eq!(states[0], want);
+}
+
+#[test]
+fn counter_convergence_across_threads() {
+    let mut cluster = TcpCluster::launch(Counter, TcpClusterConfig::new(3));
+    let mut c0 = cluster.client();
+    let mut c1 = cluster.client();
+
+    let mut pending0 = Vec::new();
+    let mut pending1 = Vec::new();
+    for _ in 0..8 {
+        pending0.push(c0.submit(CounterOp::Increment(1), &[], false));
+        pending1.push(c1.submit(CounterOp::Increment(2), &[], false));
+    }
+    for id in &pending0 {
+        assert!(c0.await_response(*id, Duration::from_secs(20)).is_some());
+    }
+    for id in &pending1 {
+        assert!(c1.await_response(*id, Duration::from_secs(20)).is_some());
+    }
+
+    // A strict audit read constrained after every increment observes all
+    // 8·1 + 8·2 = 24 (prev pins the increments before it in the eventual
+    // total order; strictness makes the response final).
+    let prev: Vec<_> = pending0.iter().chain(&pending1).copied().collect();
+    let audit = c0.submit(CounterOp::Read, &prev, true);
+    assert_eq!(
+        c0.await_response(audit, Duration::from_secs(30)),
+        Some(CounterValue::Count(24))
+    );
+
+    let reps = cluster.shutdown();
+    let states: Vec<i64> = reps.iter().map(|r| r.current_state()).collect();
+    assert!(
+        states.iter().all(|s| *s == 24),
+        "states diverged: {states:?}"
+    );
+}
+
+#[test]
+fn prev_constraints_hold_across_threads() {
+    let mut cluster = TcpCluster::launch(KvStore, TcpClusterConfig::new(2));
+    let mut c = cluster.client();
+    let put = c.submit(KvOp::put("user", "alice"), &[], false);
+    let get = c.submit(KvOp::get("user"), &[put], false);
+    assert_eq!(
+        c.await_response(get, Duration::from_secs(20)),
+        Some(KvValue::Value(Some("alice".to_string())))
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn single_replica_runtime() {
+    // n = 1: done ⇒ stable everywhere; strict ops answer immediately.
+    let mut cluster = TcpCluster::launch(Counter, TcpClusterConfig::new(1));
+    let mut c = cluster.client();
+    let inc = c.submit(CounterOp::Increment(3), &[], true);
+    assert_eq!(
+        c.await_response(inc, Duration::from_secs(10)),
+        Some(CounterValue::Ack)
+    );
+    let read = c.submit(CounterOp::Read, &[], true);
+    assert_eq!(
+        c.await_response(read, Duration::from_secs(10)),
+        Some(CounterValue::Count(3))
+    );
+    cluster.shutdown();
 }
