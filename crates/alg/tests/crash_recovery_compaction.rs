@@ -85,7 +85,7 @@ proptest! {
     fn compacted_crash_recovery_preserves_stable_prefix(
         steps in proptest::collection::vec(step_strategy(), 5..40),
     ) {
-        let cfg = ReplicaConfig::default(); // memoize on, gc_gossip off
+        let cfg = ReplicaConfig::default(); // memoize on
         let mut reps: Vec<Replica<Ctr>> = (0..N)
             .map(|i| Replica::new(Ctr, ReplicaId(i as u32), N, cfg))
             .collect();

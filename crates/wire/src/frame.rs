@@ -16,8 +16,6 @@
 //! silently violate the label-uniqueness assumption, so corrupt frames
 //! are surfaced as [`WireError::BadChecksum`] and dropped by transports.
 
-use std::io::{Read, Write};
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::WireError;
@@ -187,69 +185,6 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Frame>, WireError> {
     Ok(Some(Frame { kind, payload }))
 }
 
-/// Writes one frame to a blocking writer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = BytesMut::with_capacity(payload.len() + 12);
-    encode_frame(kind, payload, &mut buf);
-    w.write_all(&buf)
-}
-
-/// Reads one frame from a blocking reader (e.g. a `TcpStream`).
-///
-/// # Errors
-///
-/// Returns `Ok(None)` on clean EOF at a frame boundary; wire errors are
-/// converted to `io::ErrorKind::InvalidData`.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
-    let mut header = [0u8; 8];
-    // Clean EOF only if the very first byte is missing.
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(e),
-    }
-    r.read_exact(&mut header[1..])?;
-    let mut buf = BytesMut::from(&header[..]);
-    let magic = [buf[0], buf[1]];
-    if magic != MAGIC {
-        return Err(invalid(WireError::BadMagic { found: magic }));
-    }
-    if buf[2] != VERSION {
-        return Err(invalid(WireError::BadVersion { found: buf[2] }));
-    }
-    let kind = FrameKind::from_u8(buf[3]).map_err(invalid)?;
-    let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if len > MAX_FRAME_LEN {
-        return Err(invalid(WireError::TooLarge {
-            context: "frame payload",
-            len: u64::from(len),
-            max: u64::from(MAX_FRAME_LEN),
-        }));
-    }
-    buf.clear();
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut check = [0u8; 4];
-    r.read_exact(&mut check)?;
-    let declared = u32::from_le_bytes(check);
-    let computed = fnv1a(&payload);
-    if declared != computed {
-        return Err(invalid(WireError::BadChecksum { declared, computed }));
-    }
-    Ok(Some(Frame {
-        kind,
-        payload: Bytes::from(payload),
-    }))
-}
-
-fn invalid(e: WireError) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,30 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn io_reader_roundtrip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Hello, b"r0").unwrap();
-        write_frame(&mut wire, FrameKind::Gossip, b"g").unwrap();
-        let mut r = &wire[..];
-        let f1 = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((f1.kind, &f1.payload[..]), (FrameKind::Hello, &b"r0"[..]));
-        let f2 = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f2.kind, FrameKind::Gossip);
-        // Clean EOF at the boundary.
-        assert!(read_frame(&mut r).unwrap().is_none());
-    }
-
-    #[test]
-    fn io_reader_rejects_corruption() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Gossip, b"payload").unwrap();
-        wire[10] ^= 1;
-        let mut r = &wire[..];
-        let err = read_frame(&mut r).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
     fn frame_kind_all_is_exhaustive() {
         // Every listed kind round-trips through its tag…
         for k in FrameKind::ALL {
@@ -374,13 +285,11 @@ mod tests {
             })
         );
         // A well-formed, correctly checksummed frame of kind 4 is an error
-        // at both decoders (transports then drop the connection), never a
+        // at the decoder (transports then drop the connection), never a
         // panic and never a payload handed to `decode_message`.
         let mut buf = BytesMut::new();
         encode_frame(FrameKind::Gossip, b"payload", &mut buf);
         buf[3] = 4;
-        let err = read_frame(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(matches!(
             decode_frame(&mut buf),
             Err(WireError::InvalidTag { tag: 4, .. })

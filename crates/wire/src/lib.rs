@@ -12,7 +12,7 @@
 //!   vocabulary (ids, labels, descriptors, summaries) and for every
 //!   operator/value type in `esds-datatypes`;
 //! * [`frame`] — length-prefixed frames with magic, version, kind and an
-//!   FNV-1a checksum, plus blocking reader/writer adapters;
+//!   FNV-1a checksum;
 //! * [`message`] — the request/response/gossip message set as framed
 //!   payloads, including the §10.2 + §10.4 *batched* gossip exchange
 //!   that carries `D` and `S` as [`esds_core::IdSummary`] watermark
@@ -20,7 +20,8 @@
 //! * [`tcp`] — a socket deployment: [`tcp::TcpReplicaNode`] replica
 //!   servers gossiping over TCP, [`tcp::TcpClient`] front ends, and
 //!   [`tcp::TcpCluster`] for launching a localhost cluster (with
-//!   crash/restart, §9.3);
+//!   crash/restart, §9.3). Its sockets only carry frames; a sans-IO
+//!   server per node makes every protocol decision;
 //! * [`chaos`] — a frame-aware fault-injecting proxy ([`ChaosProxy`]) for
 //!   exercising the §9.3 loss/duplication/delay/reordering tolerance on
 //!   real sockets;
@@ -49,12 +50,13 @@ pub mod sharded;
 pub mod tcp;
 
 mod error;
+mod server;
 
 pub use audit::{ShardViolation, ShardedWireAuditor};
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use codec::Wire;
 pub use error::WireError;
-pub use frame::{read_frame, write_frame, Frame, FrameKind, MAX_FRAME_LEN};
+pub use frame::{Frame, FrameKind, MAX_FRAME_LEN};
 pub use message::{
     decode_message, encode_message, ShardedRequestMsg, ShardedResponseMsg, StabilityInfoMsg,
     WireMessage,

@@ -46,9 +46,10 @@
 //! A strict whole-object query's barrier is answered by the client's
 //! relay: a [`FrameKind::StabilityQuery`](crate::FrameKind) frame is
 //! replied to with the relay's label order and what of it the relay
-//! knows stable at every replica. Every answer this client has observed
-//! from the shard came through that relay, on the same in-order stream,
-//! so the reply covers it.
+//! knows stable at every replica, on the connection the query came in
+//! on. Every answer this client has observed from the shard came
+//! through that relay, on the same in-order stream, so the reply covers
+//! it.
 //!
 //! ## Chaos
 //!
@@ -72,7 +73,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use esds_alg::Replica;
+use esds_alg::{Node, Replica};
 pub use esds_core::WholeObjectUnsupported;
 use esds_core::{
     ClientId, Effect, KeyedDataType, OpClass, OpDescriptor, OpId, ReplicaId, RoutingTable,
@@ -87,7 +88,7 @@ use crate::frame::decode_frame;
 use crate::message::{
     decode_message, encode_message, HelloId, ShardedRequestMsg, ShardedResponseMsg, WireMessage,
 };
-use crate::tcp::{AddrTable, NodeObs, ShardCtx, TcpClusterConfig, TcpReplicaNode};
+use crate::tcp::{AddrTable, NodeObs, TcpClusterConfig, TcpReplicaNode};
 
 /// How often a client re-sends unanswered requests (paper footnote 3).
 const RETRY_EVERY: Duration = Duration::from_millis(50);
@@ -249,12 +250,6 @@ where
         }
     }
 
-    /// The deployment's metrics registry (disabled unless installed via
-    /// [`ShardedWireConfig::with_obs`]).
-    pub fn metrics(&self) -> &esds_obs::MetricsRegistry {
-        &self.obs
-    }
-
     fn launch_shard(
         dt: &T,
         shard: u32,
@@ -294,7 +289,6 @@ where
             None => (Vec::new(), real),
         };
         let addrs: AddrTable = Arc::new(Mutex::new(dialed));
-        let globals: Arc<Mutex<HashMap<OpId, ShardedOpId>>> = Arc::new(Mutex::new(HashMap::new()));
         // Every node of this shard reports under `shard{s}/replica{r}`
         // and stamps shard `s` on its trace spans.
         let cluster = config.cluster.clone().with_obs(NodeObs {
@@ -307,16 +301,13 @@ where
             .into_iter()
             .enumerate()
             .map(|(i, l)| {
-                TcpReplicaNode::spawn_sharded(
-                    dt.clone(),
-                    ReplicaId(i as u32),
+                let rep = Replica::new(dt.clone(), ReplicaId(i as u32), n, cluster.replica);
+                TcpReplicaNode::spawn_node(
+                    Node::new(rep, None),
                     l,
                     addrs.clone(),
                     &cluster,
-                    ShardCtx {
-                        table: table.clone(),
-                        globals: globals.clone(),
-                    },
+                    Some(table.clone()),
                 )
             })
             .collect();
@@ -712,13 +703,13 @@ where
         }
     }
 
-    /// Sends a payload-free query frame to `shard`'s relay. The Hello
-    /// preamble is refreshed with it: the reply travels through the
-    /// node's registered-clients map, so registration must have arrived.
+    /// Sends a payload-free query frame to `shard`'s relay. The reply
+    /// comes back on the connection the query went out on, so it needs
+    /// no registration.
     fn send_query(&mut self, shard: u32, msg: &WireMessage<T::Operator, T::Value>) {
         let mut out = BytesMut::new();
         encode_message(msg, &mut out);
-        self.links[shard as usize].send(self.id, &out, true);
+        self.links[shard as usize].send(self.id, &out, false);
     }
 
     /// Encodes and sends one request frame to its shard's relay. Failures

@@ -10,9 +10,14 @@
 //! Design notes:
 //!
 //! * **Same state machines as the simulator.** The node threads only move
-//!   framed bytes; every protocol decision — sync-before-release and
+//!   framed bytes; every replica decision — sync-before-release and
 //!   peer-link rewinds included — lives in [`esds_alg::Node`], so the
 //!   safety results validated under the simulator carry over.
+//! * **One sans-IO server per node decides the wire protocol.** The
+//!   acceptor hands each connection's write half to the core thread and
+//!   its read half to a reader thread, which only frames and decodes.
+//!   The core thread steps the node's `Server` (`crate::server`) on each
+//!   decoded frame, open, close and tick, and writes what it returns.
 //! * **Connection loss is message loss.** The algorithm tolerates lost and
 //!   duplicated messages (paper §9.3), so a dropped gossip connection is
 //!   simply re-dialed at the next gossip tick (reported to the node as
@@ -23,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,11 +37,10 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esds_alg::{
-    FrontEnd, GossipEnvelope, Link, Node, Persistence, RelayPolicy, Replica, ReplicaConfig,
-    RequestMsg, RestoreImage,
+    FrontEnd, Link, Node, Persistence, RelayPolicy, Replica, ReplicaConfig, RequestMsg,
+    RestoreImage,
 };
-use esds_core::{ClientId, OpId, ReplicaId, RoutingTable, SerialDataType, ShardedOpId};
-use esds_obs::Stage;
+use esds_core::{ClientId, OpId, ReplicaId, RoutingTable, SerialDataType};
 use parking_lot::Mutex;
 
 /// The cluster's address table, shared by nodes and clients. Restarting a
@@ -47,9 +51,8 @@ pub type AddrTable = Arc<Mutex<Vec<SocketAddr>>>;
 
 use crate::codec::Wire;
 use crate::frame::decode_frame;
-use crate::message::{
-    decode_message, encode_message, HelloId, ShardedResponseMsg, StabilityInfoMsg, WireMessage,
-};
+use crate::message::{decode_message, encode_message, HelloId, WireMessage};
+use crate::server::{ConnId, Halt, Server, To, Writes};
 
 /// Read-poll granularity: how often blocked readers check for shutdown.
 const POLL: Duration = Duration::from_millis(25);
@@ -118,21 +121,15 @@ impl NodeObs {
             ..NodeObs::default()
         }
     }
-
-    /// The node-level scope (`[prefix/]replica{r}`) for replica `id`.
-    pub fn replica_scope(&self, id: ReplicaId) -> esds_obs::Scope {
-        if self.prefix.is_empty() {
-            self.registry.scoped(format!("replica{}", id.0))
-        } else {
-            self.registry
-                .scoped(format!("{}/replica{}", self.prefix, id.0))
-        }
-    }
 }
 
 enum NodeInput<T: SerialDataType> {
-    Request(RequestMsg<T::Operator>),
-    Gossip(GossipEnvelope<T::Operator>),
+    /// A connection was accepted; this is its write half.
+    Open(ConnId, TcpStream),
+    /// A decoded frame from a connection's reader.
+    Message(ConnId, WireMessage<T::Operator, T::Value>),
+    /// A connection's reader ended (EOF, bad frame, or shutdown).
+    Closed(ConnId),
     Inspect(Sender<StabilitySnapshot>),
     Shutdown,
 }
@@ -151,22 +148,9 @@ pub struct StabilitySnapshot {
     pub stable_everywhere: std::collections::BTreeSet<OpId>,
 }
 
-/// What makes a replica node **shard-aware**: the deployment's shared
-/// routing table (the authority for the version handshake) and the
-/// shard's `local id → global id` map, filled in as `ShardedRequest`
-/// frames are accepted and consulted when responses go out (a mapped
-/// operation is answered with a `ShardedResponse::Ok` carrying its
-/// global identity; unmapped ones keep the plain `Response` encoding).
-#[derive(Clone)]
-pub(crate) struct ShardCtx {
-    pub(crate) table: Arc<Mutex<RoutingTable>>,
-    pub(crate) globals: Arc<Mutex<HashMap<OpId, ShardedOpId>>>,
-}
-
 /// One replica server: a listener, reader threads, and the core thread
-/// driving the replica state machine and the gossip timer.
+/// stepping the node's sans-IO `Server` and the gossip timer.
 pub struct TcpReplicaNode<T: SerialDataType> {
-    id: ReplicaId,
     addr: SocketAddr,
     input_tx: Sender<NodeInput<T>>,
     core: Option<JoinHandle<Replica<T>>>,
@@ -221,69 +205,38 @@ where
         Self::spawn_node(Node::new(rep, Some(store)), listener, addrs, config, None)
     }
 
-    /// Like [`TcpReplicaNode::spawn`], but shard-aware: `ShardedRequest`
-    /// frames are version-checked against the deployment's shared routing
-    /// table (stale versions are NAKed with the authoritative table) and
-    /// accepted operations answer as `ShardedResponse` frames carrying
-    /// their global identity.
-    pub(crate) fn spawn_sharded(
-        dt: T,
-        id: ReplicaId,
-        listener: TcpListener,
-        addrs: AddrTable,
-        config: &TcpClusterConfig,
-        shard: ShardCtx,
-    ) -> Self {
-        let rep = Replica::new(dt, id, config.n_replicas, config.replica);
-        Self::spawn_node(Node::new(rep, None), listener, addrs, config, Some(shard))
-    }
-
-    fn spawn_node(
+    /// Spawns a node around `node`. With the deployment's routing
+    /// `table` it is shard-aware: `ShardedRequest` frames are
+    /// version-checked against it (stale versions are NAKed with the
+    /// authoritative table) and accepted operations answer as
+    /// `ShardedResponse` frames carrying their global identity.
+    pub(crate) fn spawn_node(
         node: Node<T>,
         listener: TcpListener,
         addrs: AddrTable,
         config: &TcpClusterConfig,
-        shard: Option<ShardCtx>,
+        table: Option<Arc<Mutex<RoutingTable>>>,
     ) -> Self {
         let id = node.replica().id();
         let addr = listener.local_addr().expect("listener address");
         let stop = Arc::new(AtomicBool::new(false));
         let (input_tx, input_rx) = unbounded::<NodeInput<T>>();
-        let clients: Arc<Mutex<HashMap<ClientId, TcpStream>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-
-        let acceptor = spawn_acceptor::<T>(
-            id,
-            listener,
-            input_tx.clone(),
-            clients.clone(),
-            stop.clone(),
-            shard.clone(),
-            config.obs.registry.clone(),
-        );
-        let core = spawn_core::<T>(
-            node,
-            config.clone(),
+        let server = Server::new(node, table, &config.obs);
+        let acceptor = Self::spawn_acceptor(id, listener, input_tx.clone(), stop.clone());
+        let core = Self::spawn_core(
+            server,
+            config.gossip_interval,
             addrs,
             input_rx,
-            clients,
             stop.clone(),
-            shard,
         );
-
         TcpReplicaNode {
-            id,
             addr,
             input_tx,
             core: Some(core),
             acceptor: Some(acceptor),
             stop,
         }
-    }
-
-    /// The node's replica identity.
-    pub fn id(&self) -> ReplicaId {
-        self.id
     }
 
     /// Fetches the node's [`StabilitySnapshot`] through its input
@@ -293,11 +246,6 @@ where
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.input_tx.send(NodeInput::Inspect(tx)).ok()?;
         rx.recv_timeout(timeout).ok()
-    }
-
-    /// The address clients and peers connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Stops the node's threads and returns the final replica state
@@ -316,393 +264,223 @@ where
             .join()
             .expect("replica core panicked")
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_acceptor<T>(
-    id: ReplicaId,
-    listener: TcpListener,
-    input_tx: Sender<NodeInput<T>>,
-    clients: Arc<Mutex<HashMap<ClientId, TcpStream>>>,
-    stop: Arc<AtomicBool>,
-    shard: Option<ShardCtx>,
-    registry: esds_obs::MetricsRegistry,
-) -> JoinHandle<()>
-where
-    T: SerialDataType + Send + 'static,
-    T::Operator: Wire + Send,
-    T::Value: Wire + Send,
-{
-    std::thread::Builder::new()
-        .name(format!("esds-tcp-accept-{}", id.0))
-        .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let (stream, _) = match listener.accept() {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let tx = input_tx.clone();
-                let clients = clients.clone();
-                let stop = stop.clone();
-                let shard = shard.clone();
-                let registry = registry.clone();
-                let _ = std::thread::Builder::new()
-                    .name(format!("esds-tcp-read-{}", id.0))
-                    .spawn(move || {
-                        read_connection::<T>(stream, tx, clients, stop, shard, registry)
-                    });
-            }
-        })
-        .expect("spawn acceptor")
-}
-
-/// Reads frames from one inbound connection until EOF, error, or shutdown.
-/// The first frame must be a `Hello`; client connections are registered so
-/// the core thread can write responses back.
-fn read_connection<T>(
-    stream: TcpStream,
-    input_tx: Sender<NodeInput<T>>,
-    clients: Arc<Mutex<HashMap<ClientId, TcpStream>>>,
-    stop: Arc<AtomicBool>,
-    shard: Option<ShardCtx>,
-    registry: esds_obs::MetricsRegistry,
-) where
-    T: SerialDataType,
-    T::Operator: Wire,
-    T::Value: Wire,
-{
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = stream.try_clone().expect("clone stream");
-    let mut buf = BytesMut::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 4096];
-    let mut registered: Option<ClientId> = None;
-    'conn: loop {
-        // Drain complete frames already buffered.
-        loop {
-            match decode_frame(&mut buf) {
-                Ok(Some(frame)) => {
-                    let msg: WireMessage<T::Operator, T::Value> = match decode_message(&frame) {
-                        Ok(m) => m,
-                        Err(_) => break 'conn, // malformed payload: drop connection
+    /// Accepts connections: each one's write half goes to the core thread,
+    /// its read half to a reader thread of its own.
+    fn spawn_acceptor(
+        id: ReplicaId,
+        listener: TcpListener,
+        input_tx: Sender<NodeInput<T>>,
+        stop: Arc<AtomicBool>,
+    ) -> JoinHandle<()> {
+        std::thread::Builder::new()
+            .name(format!("esds-tcp-accept-{}", id.0))
+            .spawn(move || {
+                let mut next_conn: ConnId = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    let (stream, _) = match listener.accept() {
+                        Ok(s) => s,
+                        Err(_) => continue,
                     };
-                    let input = match msg {
-                        WireMessage::Hello(HelloId::Client(c)) => {
-                            if let Ok(w) = stream.try_clone() {
-                                clients.lock().insert(c, w);
-                                registered = Some(c);
-                            }
-                            None
-                        }
-                        WireMessage::Request(m) => Some(NodeInput::Request(m)),
-                        WireMessage::ShardedRequest(m) => {
-                            // A non-sharded node cannot version-check; the
-                            // frame is a protocol error, drop the conn.
-                            let Some(ctx) = &shard else { break 'conn };
-                            let stale = {
-                                let table = ctx.table.lock();
-                                (table.version() != m.version).then(|| table.clone())
-                            };
-                            match stale {
-                                None => {
-                                    // Version handshake passed: the client
-                                    // routed under the table this shard
-                                    // serves, so the key belongs here.
-                                    ctx.globals.lock().insert(m.desc.id, m.global);
-                                    Some(NodeInput::Request(RequestMsg { desc: m.desc }))
-                                }
-                                Some(table) => {
-                                    // NAK before the replica ever sees the
-                                    // descriptor.
-                                    let nak: WireMessage<T::Operator, T::Value> =
-                                        WireMessage::ShardedResponse(ShardedResponseMsg::Nak {
-                                            global: m.global,
-                                            table,
-                                        });
-                                    reply(&clients, registered, &nak);
-                                    None
-                                }
-                            }
-                        }
-                        WireMessage::Gossip(g) => {
-                            Some(NodeInput::Gossip(GossipEnvelope::Snapshot(g)))
-                        }
-                        WireMessage::GossipBatched(b) => {
-                            Some(NodeInput::Gossip(GossipEnvelope::Batched(b)))
-                        }
-                        WireMessage::StabilityQuery => {
-                            // Answered from the reader thread with a
-                            // snapshot fetched over the core's input
-                            // channel (so it is consistent). A dropped or
-                            // timed-out probe is simply not answered — the
-                            // client's barrier loop re-queries.
-                            let (tx, rx) = crossbeam::channel::bounded(1);
-                            if input_tx.send(NodeInput::Inspect(tx)).is_err() {
-                                break 'conn;
-                            }
-                            if let Ok(snap) = rx.recv_timeout(Duration::from_secs(5)) {
-                                let info: WireMessage<T::Operator, T::Value> =
-                                    WireMessage::StabilityInfo(StabilityInfoMsg {
-                                        order: snap.order,
-                                        stable_everywhere: snap
-                                            .stable_everywhere
-                                            .into_iter()
-                                            .collect(),
-                                    });
-                                reply(&clients, registered, &info);
-                            }
-                            None
-                        }
-                        WireMessage::MetricsQuery => {
-                            // Answered straight from the reader thread:
-                            // the registry is lock-free to read and
-                            // process-global, so no core round-trip is
-                            // needed. A node running with metrics disabled
-                            // answers an empty snapshot rather than
-                            // erroring, so pollers need not know the
-                            // server's config.
-                            let info: WireMessage<T::Operator, T::Value> =
-                                WireMessage::MetricsInfo(registry.snapshot());
-                            reply(&clients, registered, &info);
-                            None
-                        }
-                        WireMessage::Hello(HelloId::Replica(_)) => None,
-                        WireMessage::Response(_)
-                        | WireMessage::ShardedResponse(_)
-                        | WireMessage::StabilityInfo(_)
-                        | WireMessage::MetricsInfo(_) => None, // nonsensical inbound; ignore
-                    };
-                    if input.is_some_and(|i| input_tx.send(i).is_err()) {
-                        break 'conn;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => break 'conn, // corrupt frame: drop connection
-            }
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => break, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-    if let Some(c) = registered {
-        clients.lock().remove(&c);
-    }
-}
-
-/// Answers the client registered on a connection from its reader thread,
-/// through the registered-clients lock so the frame cannot interleave
-/// with a response the core thread is writing to the same stream. An
-/// unregistered sender (no `Hello` yet) gets nothing; it re-asks.
-fn reply<O: Wire, V: Wire>(
-    clients: &Mutex<HashMap<ClientId, TcpStream>>,
-    to: Option<ClientId>,
-    msg: &WireMessage<O, V>,
-) {
-    let Some(c) = to else { return };
-    let mut out = BytesMut::new();
-    encode_message(msg, &mut out);
-    if let Some(w) = clients.lock().get_mut(&c) {
-        let _ = w.write_all(&out);
-    }
-}
-
-fn spawn_core<T>(
-    mut node: Node<T>,
-    config: TcpClusterConfig,
-    addrs: AddrTable,
-    input_rx: Receiver<NodeInput<T>>,
-    clients: Arc<Mutex<HashMap<ClientId, TcpStream>>>,
-    stop: Arc<AtomicBool>,
-    shard: Option<ShardCtx>,
-) -> JoinHandle<Replica<T>>
-where
-    T: SerialDataType + Send + 'static,
-    T::Operator: Wire + Send,
-    T::Value: Wire + Send,
-    T::State: Send,
-{
-    let id = node.replica().id();
-    let n = node.replica().n();
-    // Metric handles resolve to no-ops when the registry is disabled;
-    // the per-tick gauge math below is additionally gated on
-    // `obs_enabled` so the disabled path costs one predictable branch.
-    let scope = config.obs.replica_scope(id);
-    let obs_enabled = scope.is_enabled();
-    let m_requests = scope.counter("requests");
-    let m_gossip_in = scope.counter("gossip_in");
-    let m_responses = scope.counter("responses");
-    let m_unstable = scope.gauge("unstable_window");
-    let m_wm_age = scope.gauge("stable_watermark_age_ms");
-    let m_peers: Vec<(esds_obs::Counter, esds_obs::Counter)> = (0..n)
-        .map(|p| {
-            (
-                scope.counter(&format!("peer{p}/gossip_msgs")),
-                scope.counter(&format!("peer{p}/gossip_bytes")),
-            )
-        })
-        .collect();
-    let tracer = config.obs.tracer.clone();
-    let trace_shard = config.obs.shard;
-    std::thread::Builder::new()
-        .name(format!("esds-tcp-core-{}", id.0))
-        .spawn(move || {
-            let mut peers: Vec<Option<(SocketAddr, TcpStream)>> = (0..n).map(|_| None).collect();
-            let mut next_gossip = Instant::now() + config.gossip_interval;
-            let mut out = BytesMut::new();
-            // Sampled in-flight ops awaiting a `stabilize` span, and the
-            // watermark-advance clock behind `stable_watermark_age_ms`.
-            let mut pending_stab: Vec<(OpId, String)> = Vec::new();
-            let mut last_stable_n = 0usize;
-            let mut last_advance = Instant::now();
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= next_gossip {
-                    // Dial before polling: a fresh connection is reported
-                    // as a new link, so this very tick's envelope to it
-                    // re-ships everything.
-                    let links: Vec<Link> = peers
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(p, peer)| {
-                            if p == id.0 as usize {
-                                return Link::Down;
-                            }
-                            let peer_addr = addrs.lock()[p];
-                            connect_to_peer(peer, peer_addr, id)
-                        })
-                        .collect();
-                    let Ok(outbox) = node.on_tick(&links) else {
+                    if stop.load(Ordering::SeqCst) {
                         break;
-                    };
-                    for (pid, env) in outbox {
-                        let p = pid.0 as usize;
-                        out.clear();
-                        let msg: WireMessage<T::Operator, T::Value> = match env {
-                            GossipEnvelope::Batched(b) => WireMessage::GossipBatched(b),
-                            GossipEnvelope::Snapshot(g) => WireMessage::Gossip(g),
-                        };
-                        encode_message(&msg, &mut out);
-                        let sent = peers[p]
-                            .as_mut()
-                            .is_some_and(|(_, s)| s.write_all(&out).is_ok());
-                        if sent {
-                            m_peers[p].0.inc();
-                            m_peers[p].1.add(out.len() as u64);
-                        } else {
-                            // The envelope is lost; the cleared slot
-                            // re-dials at the next tick.
-                            peers[p] = None;
-                            let _ = node.on_lost_write(pid);
-                        }
                     }
-                    if obs_enabled || !pending_stab.is_empty() {
-                        let rep = node.replica();
-                        let stable_n = rep.stable_everywhere().len();
-                        if stable_n > last_stable_n {
-                            last_stable_n = stable_n;
-                            last_advance = now;
-                        }
-                        if obs_enabled {
-                            m_wm_age.set(last_advance.elapsed().as_millis() as u64);
-                            m_unstable.set(rep.rcvd().len().saturating_sub(stable_n) as u64);
-                        }
-                        if !pending_stab.is_empty() {
-                            let se = rep.stable_everywhere();
-                            pending_stab.retain(|(opid, s)| {
-                                if se.contains(opid) {
-                                    tracer.emit(trace_shard, s, Stage::Stabilize);
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                        }
-                    }
-                    next_gossip = now + config.gossip_interval;
-                }
-                let wait = next_gossip.saturating_duration_since(Instant::now());
-                let input = match input_rx.recv_timeout(wait.max(Duration::from_micros(200))) {
-                    Ok(i) => i,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                let effects = match input {
-                    NodeInput::Request(m) => {
-                        m_requests.inc();
-                        if tracer.is_enabled() {
-                            let ids = m.desc.id.to_string();
-                            if tracer.sampled(&ids) {
-                                tracer.emit(trace_shard, &ids, Stage::ReplicaAccept);
-                                pending_stab.push((m.desc.id, ids));
-                            }
-                        }
-                        node.on_request(m.desc)
-                    }
-                    NodeInput::Gossip(g) => {
-                        m_gossip_in.inc();
-                        node.on_gossip(g)
-                    }
-                    NodeInput::Inspect(tx) => {
-                        let rep = node.replica();
-                        let _ = tx.send(StabilitySnapshot {
-                            order: rep.local_order(),
-                            stable_everywhere: rep.stable_everywhere().clone(),
-                        });
+                    let Ok(write_half) = stream.try_clone() else {
                         continue;
-                    }
-                    NodeInput::Shutdown => break,
-                };
-                // A dead node (failed persist) stops; its effects drop.
-                let Ok(effects) = effects else {
-                    break;
-                };
-                for e in effects {
-                    m_responses.inc();
-                    if tracer.is_enabled() {
-                        // The op carries its minlabel by the time the
-                        // replica answers (Thm 5.7's labelling step).
-                        tracer.emit(trace_shard, &e.msg.id.to_string(), Stage::Label);
-                    }
-                    out.clear();
-                    // Operations accepted through the sharded handshake
-                    // answer with their global identity attached. The
-                    // mapping is consumed here so the shared map stays
-                    // bounded by in-flight operations, not total history;
-                    // a client retry of an already-answered request
-                    // re-inserts it before the replica re-answers.
-                    let global = shard
-                        .as_ref()
-                        .and_then(|ctx| ctx.globals.lock().remove(&e.msg.id));
-                    let msg: WireMessage<T::Operator, T::Value> = match global {
-                        Some(global) => WireMessage::ShardedResponse(ShardedResponseMsg::Ok {
-                            global,
-                            resp: e.msg,
-                        }),
-                        None => WireMessage::Response(e.msg),
                     };
-                    encode_message(&msg, &mut out);
-                    let mut guard = clients.lock();
-                    if let Some(w) = guard.get_mut(&e.client) {
-                        if w.write_all(&out).is_err() {
-                            guard.remove(&e.client);
+                    let conn = next_conn;
+                    next_conn += 1;
+                    // Sent before the reader exists, so the core knows the
+                    // connection before any of its frames.
+                    if input_tx.send(NodeInput::Open(conn, write_half)).is_err() {
+                        break;
+                    }
+                    let tx = input_tx.clone();
+                    let stop = stop.clone();
+                    let reader = std::thread::Builder::new()
+                        .name(format!("esds-tcp-read-{}", id.0))
+                        .spawn(move || Self::read_connection(conn, stream, tx, stop));
+                    if reader.is_err() {
+                        let _ = input_tx.send(NodeInput::Closed(conn));
+                    }
+                }
+            })
+            .expect("spawn acceptor")
+    }
+
+    /// Frames and decodes one inbound connection until EOF, a bad frame, or
+    /// shutdown, forwarding every message to the core thread — decoding stays
+    /// off the core — and then its close.
+    fn read_connection(
+        conn: ConnId,
+        mut stream: TcpStream,
+        input_tx: Sender<NodeInput<T>>,
+        stop: Arc<AtomicBool>,
+    ) {
+        let _ = stream.set_read_timeout(Some(POLL));
+        let mut buf = BytesMut::with_capacity(8 * 1024);
+        let mut chunk = [0u8; 4096];
+        'conn: loop {
+            // Drain complete frames already buffered.
+            loop {
+                match decode_frame(&mut buf) {
+                    Ok(Some(frame)) => {
+                        // A malformed payload drops the connection.
+                        let Ok(msg) = decode_message(&frame) else {
+                            break 'conn;
+                        };
+                        if input_tx.send(NodeInput::Message(conn, msg)).is_err() {
+                            break 'conn;
                         }
                     }
+                    Ok(None) => break,
+                    Err(_) => break 'conn, // corrupt frame: drop connection
                 }
             }
-            node.into_replica()
-        })
-        .expect("spawn core")
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => break, // EOF
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+                Err(_) => break,
+            }
+        }
+        let _ = input_tx.send(NodeInput::Closed(conn));
+    }
+
+    /// The core thread: receive an input, step the [`Server`], write what it
+    /// released; and every `gossip_interval`, dial the peers and tick.
+    fn spawn_core(
+        mut server: Server<T>,
+        gossip_interval: Duration,
+        addrs: AddrTable,
+        input_rx: Receiver<NodeInput<T>>,
+        stop: Arc<AtomicBool>,
+    ) -> JoinHandle<Replica<T>> {
+        let id = server.replica().id();
+        let n = server.replica().n();
+        std::thread::Builder::new()
+            .name(format!("esds-tcp-core-{}", id.0))
+            .spawn(move || {
+                let mut sockets = Sockets {
+                    peers: (0..n).map(|_| None).collect(),
+                    conns: HashMap::new(),
+                    out: BytesMut::new(),
+                };
+                let mut next_gossip = Instant::now() + gossip_interval;
+                loop {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let now = Instant::now();
+                    if now >= next_gossip {
+                        // Dial before polling: a fresh connection is reported
+                        // as a new link, so this very tick's envelope to it
+                        // re-ships everything.
+                        let links: Vec<Link> = sockets
+                            .peers
+                            .iter_mut()
+                            .enumerate()
+                            .map(|(p, peer)| {
+                                if p == id.0 as usize {
+                                    return Link::Down;
+                                }
+                                let peer_addr = addrs.lock()[p];
+                                connect_to_peer(peer, peer_addr, id)
+                            })
+                            .collect();
+                        let Ok(writes) = server.on_tick(now, &links) else {
+                            break;
+                        };
+                        sockets.write(&mut server, writes);
+                        next_gossip = now + gossip_interval;
+                    }
+                    let wait = next_gossip.saturating_duration_since(Instant::now());
+                    let input = match input_rx.recv_timeout(wait.max(Duration::from_micros(200))) {
+                        Ok(i) => i,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    };
+                    match input {
+                        NodeInput::Open(conn, w) => {
+                            sockets.conns.insert(conn, w);
+                            server.on_open(conn);
+                        }
+                        NodeInput::Message(conn, msg) => match server.on_message(conn, msg) {
+                            Ok(writes) => sockets.write(&mut server, writes),
+                            Err(Halt::Close) => sockets.close(conn),
+                            // A dead node (failed persist) stops; its effects drop.
+                            Err(Halt::Dead) => break,
+                        },
+                        NodeInput::Closed(conn) => {
+                            sockets.conns.remove(&conn);
+                            server.on_closed(conn);
+                        }
+                        NodeInput::Inspect(tx) => {
+                            let _ = tx.send(server.stability());
+                        }
+                        NodeInput::Shutdown => break,
+                    }
+                }
+                server.into_replica()
+            })
+            .expect("spawn core")
+    }
+}
+
+/// The core thread's sockets: an outbound gossip link per peer, and the
+/// write half of every open inbound connection.
+struct Sockets {
+    peers: Vec<Option<(SocketAddr, TcpStream)>>,
+    conns: HashMap<ConnId, TcpStream>,
+    out: BytesMut,
+}
+
+impl Sockets {
+    /// Writes the frames `server` released. A connection whose write
+    /// fails is closed; each gossip write's outcome goes back to
+    /// `server`, and a failed link's cleared slot re-dials next tick.
+    fn write<T>(&mut self, server: &mut Server<T>, writes: Writes<T::Operator, T::Value>)
+    where
+        T: SerialDataType,
+        T::Operator: Wire,
+        T::Value: Wire,
+    {
+        for (to, msg) in writes {
+            self.out.clear();
+            encode_message(&msg, &mut self.out);
+            match to {
+                To::Conn(conn) => {
+                    let failed = self
+                        .conns
+                        .get_mut(&conn)
+                        .is_some_and(|w| w.write_all(&self.out).is_err());
+                    if failed {
+                        self.close(conn);
+                    }
+                }
+                To::Peer(p) => {
+                    let slot = &mut self.peers[p.0 as usize];
+                    let sent = slot
+                        .as_mut()
+                        .is_some_and(|(_, s)| s.write_all(&self.out).is_ok());
+                    if !sent {
+                        *slot = None;
+                    }
+                    server.on_peer_write(p, sent.then_some(self.out.len()));
+                }
+            }
+        }
+    }
+
+    /// Shuts `conn` down; its reader then sees EOF and reports the close.
+    fn close(&mut self, conn: ConnId) {
+        if let Some(w) = self.conns.remove(&conn) {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// Ensures `slot` holds a live outbound connection to the peer at `addr`,
@@ -724,26 +502,13 @@ fn connect_to_peer(
     };
     let _ = s.set_nodelay(true);
     let mut hello = BytesMut::new();
-    encode_message::<NoOp, NoOp>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
+    // Hello frames carry no operator/value payloads.
+    encode_message::<u64, u64>(&WireMessage::Hello(HelloId::Replica(me)), &mut hello);
     if s.write_all(&hello).is_err() {
         return Link::Down;
     }
     *slot = Some((addr, s));
     Link::New
-}
-
-/// Placeholder operator/value type for frames that carry neither (Hello).
-enum NoOp {}
-impl Wire for NoOp {
-    fn encode(&self, _buf: &mut impl bytes::BufMut) {
-        match *self {}
-    }
-    fn decode(_buf: &mut impl bytes::Buf) -> Result<Self, crate::WireError> {
-        Err(crate::WireError::InvalidTag {
-            context: "NoOp",
-            tag: 0,
-        })
-    }
 }
 
 /// A client front end speaking the wire protocol over TCP.
@@ -843,60 +608,6 @@ where
             }
             self.pump_responses();
         }
-    }
-
-    /// Polls replica `r` for its process's metrics snapshot, waiting up
-    /// to `timeout`. `None` on connection failure or timeout. Any frames
-    /// that arrive ahead of the answer (responses to in-flight ops) are
-    /// fed to the front end as usual.
-    pub fn metrics(
-        &mut self,
-        r: ReplicaId,
-        timeout: Duration,
-    ) -> Option<esds_obs::MetricsSnapshot> {
-        let idx = r.0 as usize;
-        let mut out = BytesMut::new();
-        let q: WireMessage<T::Operator, T::Value> = WireMessage::MetricsQuery;
-        encode_message(&q, &mut out);
-        self.ensure_conn(idx);
-        let (_, s) = self.conns[idx].as_mut()?;
-        s.write_all(&out).ok()?;
-        let deadline = Instant::now() + timeout;
-        let mut chunk = [0u8; 4096];
-        while Instant::now() < deadline {
-            let Some((_, s)) = &mut self.conns[idx] else {
-                return None;
-            };
-            match s.read(&mut chunk) {
-                Ok(0) => {
-                    self.conns[idx] = None;
-                    return None;
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(_) => {
-                    self.conns[idx] = None;
-                    return None;
-                }
-            }
-            loop {
-                match decode_frame(&mut self.buf) {
-                    Ok(Some(frame)) => match decode_message::<T::Operator, T::Value>(&frame) {
-                        Ok(WireMessage::MetricsInfo(snap)) => return Some(snap),
-                        Ok(WireMessage::Response(m)) => {
-                            let _ = self.fe.on_response(m);
-                        }
-                        _ => {}
-                    },
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.buf.clear();
-                        return None;
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Dials replica `idx` (with the client Hello) if the slot is empty
@@ -1309,6 +1020,68 @@ mod tests {
         let reps = cluster.shutdown();
         assert_eq!(reps[0].stats().gossip_refused, 1);
         assert_eq!(reps[1].stats().gossip_refused, 0);
+    }
+
+    #[test]
+    fn closing_an_old_connection_keeps_the_new_registration() {
+        // A client that re-dials registers its new connection; its old
+        // connection closing afterwards must not unregister the new one.
+        let cluster = TcpCluster::launch(Counter, TcpClusterConfig::new(1));
+        let client = ClientId(7);
+        let dial = || {
+            let mut s = TcpStream::connect(cluster.addrs()[0]).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            send(
+                &mut s,
+                &[
+                    WireMessage::Hello(HelloId::Client(client)),
+                    WireMessage::StabilityQuery,
+                ],
+            );
+            // The answer shows the node has taken the Hello.
+            assert!(matches!(recv(&mut s), Some(WireMessage::StabilityInfo(_))));
+            s
+        };
+        let old = dial();
+        let mut new = dial();
+        drop(old);
+        std::thread::sleep(Duration::from_millis(300));
+
+        let mut fe = FrontEnd::<_, CounterValue>::new(client, 1, RelayPolicy::Fixed(ReplicaId(0)));
+        let (id, sends) = fe.submit(CounterOp::Increment(1), [], false);
+        let requests: Vec<_> = sends
+            .into_iter()
+            .map(|(_, m)| WireMessage::Request(m))
+            .collect();
+        send(&mut new, &requests);
+        match recv(&mut new) {
+            Some(WireMessage::Response(r)) => assert_eq!(r.id, id),
+            other => panic!("no response on the new connection: {other:?}"),
+        }
+        cluster.shutdown();
+    }
+
+    fn send(s: &mut TcpStream, msgs: &[WireMessage<CounterOp, CounterValue>]) {
+        let mut out = BytesMut::new();
+        for m in msgs {
+            encode_message(m, &mut out);
+        }
+        s.write_all(&out).expect("write");
+    }
+
+    /// The next message on `s`; `None` on EOF or read timeout.
+    fn recv(s: &mut TcpStream) -> Option<WireMessage<CounterOp, CounterValue>> {
+        let mut buf = BytesMut::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(frame) = decode_frame(&mut buf).expect("well-formed frame") {
+                return decode_message(&frame).ok();
+            }
+            match s.read(&mut chunk) {
+                Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+                _ => return None,
+            }
+        }
     }
 
     #[test]
