@@ -18,7 +18,7 @@
 //!   executable checks over a [`SystemView`];
 //! * [`Node`] — a replica plus its optional [`Persistence`] backend: the
 //!   one place that enforces sync-before-release and rewinds peer links,
-//!   driven by the simulator, the threaded runtime and the TCP node alike.
+//!   driven by the simulator and the TCP node alike.
 //!
 //! The state machines are deterministic; all scheduling (gossip timing,
 //! channel behaviour) lives in the harness/runtime driving them.

@@ -123,7 +123,7 @@ impl<O> BatchedGossipMsg<O> {
 
 /// Any replica-to-replica message: a §6.1 snapshot or a §10.4 batch.
 ///
-/// Transports (the simulator, the threaded runtime, the TCP layer) carry
+/// Transports (the simulator, the TCP layer) carry
 /// this type; [`crate::Replica::poll_gossip`] produces it and
 /// [`crate::Replica::on_gossip_envelope`] consumes it.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -3,7 +3,7 @@
 //! A replica is a *sans-IO* state machine: inputs are requests, gossip
 //! messages, and "make a gossip message now" prompts; outputs are response
 //! effects. Both the discrete-event simulator (`esds-harness`) and the
-//! threaded runtime (`esds-runtime`) drive this same type, so properties
+//! TCP deployment (`esds-wire`) drive this same type, so properties
 //! verified under simulation transfer to the deployment.
 //!
 //! ## The replica state, in the paper's vocabulary (§6.3)

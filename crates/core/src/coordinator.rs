@@ -189,8 +189,8 @@ impl<T: KeyedDataType> Ticket<T> {
 
 /// The sans-IO shard coordinator.
 ///
-/// The simulated (`esds-harness`), threaded (`esds-runtime`) and TCP
-/// (`esds-wire`) sharded stacks are **drivers** of this type: they move
+/// The simulated (`esds-harness`) and TCP (`esds-wire`) sharded stacks
+/// are **drivers** of this type: they move
 /// bytes and time, and feed what they observe back in.
 ///
 /// | input | who supplies it |
@@ -255,7 +255,7 @@ impl<T: KeyedDataType> Ticket<T> {
 /// re-mints.
 ///
 /// One instance serves any number of clients (the simulator keeps one for
-/// the whole deployment; a threaded or TCP client handle keeps its own).
+/// the whole deployment; a TCP client handle keeps its own).
 /// It has no clock, socket, thread or lock.
 ///
 /// # Examples

@@ -11,8 +11,8 @@
 //! instead of plateauing at one group's gossip capacity.
 //!
 //! This module holds the vocabulary that the sharded layers
-//! (`esds-harness`'s `ShardedSimSystem`, `esds-runtime`'s
-//! `ShardedService`, `esds-wire`'s `ShardedWireService`) and the
+//! (`esds-harness`'s `ShardedSimSystem`, `esds-wire`'s
+//! `ShardedWireService`) and the
 //! [`ShardCoordinator`](crate::ShardCoordinator) they drive share:
 //!
 //! * [`KeyedDataType`] — a serial data type whose operators expose the
@@ -35,8 +35,8 @@
 //! constraint is vacuous for the state (disjoint objects commute) and the
 //! client-observed order is preserved.
 //!
-//! The *data plane* of a slot migration lives in the deployment layers
-//! (`harness::sharded`, `runtime::sharded`); this module only defines
+//! The *data plane* of a slot migration lives in the deployment layer
+//! (`harness::sharded`); this module only defines
 //! the plan/table algebra they agree on. The unit of transfer is
 //! a slot's **stable prefix**: once every operation of a slot is stable,
 //! its effect order is final at every replica of the source group, so

@@ -7,7 +7,7 @@
 //!
 //! Each seed picks one of three modes: `plain`, `flip` (a freeze → flip
 //! migration with replay anchors happens mid-stream, the way the
-//! simulated and threaded drivers run one) or `nak` (the coordinator
+//! simulated driver runs one) or `nak` (the coordinator
 //! starts one or two versions behind the table the shards serve, the way
 //! a stale TCP client does; that table does not move mid-run — nothing
 //! executes a migration over TCP yet).
@@ -150,7 +150,7 @@ struct ToyShard {
 struct World {
     rng: Rng,
     co: ShardCoordinator<Toy>,
-    /// `nak` mode only (the simulated and threaded shards never check
+    /// `nak` mode only (the simulated shards never check
     /// versions — an operation in flight across a flip stays valid): the
     /// table the toy shards check request versions against.
     authoritative: Option<RoutingTable>,

@@ -22,7 +22,7 @@
 //! [`Bank`] (one indivisible key) — also implement
 //! [`esds_core::KeyedDataType`], so they can be hash-partitioned across
 //! independent replica groups by the sharded layers in `esds-harness` and
-//! `esds-runtime`.
+//! `esds-wire`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

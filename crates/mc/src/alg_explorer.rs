@@ -1,6 +1,6 @@
 //! Bounded exhaustive exploration of the *algorithm* (paper §6).
 //!
-//! The simulator and the threaded runtime each exercise one schedule per
+//! The simulator and the TCP deployment each exercise one schedule per
 //! run; this explorer enumerates **all** schedules of a small
 //! configuration — every interleaving of request deliveries, gossip
 //! sends, and gossip deliveries, with channels as unordered multisets

@@ -17,8 +17,8 @@
 //!   generation, records replayed, torn tails dropped (with
 //!   diagnostics; *corrupt* records are refused, never skipped).
 //!
-//! The store implements [`esds_alg::Persistence`], so the threaded
-//! runtime, TCP nodes, and the simulator all drive it the same way.
+//! The store implements [`esds_alg::Persistence`], so TCP nodes and the
+//! simulator drive it the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -12,7 +12,7 @@ use esds_store::{
 };
 
 // ---------------------------------------------------------------------
-// A minimal durable cluster driver (the threaded runtime in miniature):
+// A minimal durable cluster driver (a TCP node's core loop in miniature):
 // persist after every mutating handler, before effects are released.
 // ---------------------------------------------------------------------
 

@@ -4,8 +4,8 @@
 //! data service. Cheiner's implementation (paper §11.1) ran the algorithm
 //! over MPI on a network of Unix workstations; this crate is the analogous
 //! transport layer for this reproduction: the *same* [`esds_alg::Replica`]
-//! and [`esds_alg::FrontEnd`] state machines exercised by the simulator
-//! and the threaded runtime, carried over real sockets.
+//! and [`esds_alg::FrontEnd`] state machines exercised by the simulator,
+//! carried over real sockets.
 //!
 //! * [`codec`] — checked little-endian/varint primitives over [`bytes`]
 //!   buffers and the [`Wire`] trait, with implementations for all core

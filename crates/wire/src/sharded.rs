@@ -1,13 +1,15 @@
 //! The **sharded TCP deployment**: `S` independent replica clusters on
 //! real sockets behind shard-aware clients.
 //!
-//! This is the wire-layer analogue of `esds-runtime`'s `ShardedService`
-//! (threads) and `esds-harness`'s `ShardedSimSystem` (virtual time): the
-//! keyspace of a [`KeyedDataType`] is partitioned through the shared,
-//! versioned [`RoutingTable`] (`key → slot → shard`), and each shard is a
+//! This is the real-socket counterpart of `esds-harness`'s
+//! `ShardedSimSystem` (virtual time): the keyspace of a
+//! [`KeyedDataType`] is partitioned through the shared, versioned
+//! [`RoutingTable`] (`key → slot → shard`), and each shard is a
 //! complete, unmodified ESDS cluster — its own replicas, its own gossip
 //! domain, its own labels and stabilization — here made of
-//! [`TcpReplicaNode`]s speaking the framed protocol of this crate.
+//! [`TcpReplicaNode`]s speaking the framed protocol of this crate. The
+//! replicas are volatile ([`ShardedWireService::launch`]) or restarted
+//! from disk ([`ShardedWireService::launch_durable`]).
 //!
 //! Routing, cross-shard `prev`, scatter-gather with its barrier-strict
 //! mode, and what a version NAK does to an operation are
@@ -73,7 +75,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use esds_alg::{Node, Replica};
+use esds_alg::{Node, Persistence, Replica};
 pub use esds_core::WholeObjectUnsupported;
 use esds_core::{
     ClientId, Effect, KeyedDataType, OpClass, OpDescriptor, OpId, ReplicaId, RoutingTable,
@@ -233,32 +235,109 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if listeners cannot bind.
+    /// Panics if `config.cluster.n_replicas` is zero or listeners cannot
+    /// bind.
     pub fn launch_with_table(dt: T, table: RoutingTable, config: ShardedWireConfig) -> Self {
-        let n_shards = table.n_shards();
+        let n = config.cluster.n_replicas;
+        let groups = (0..table.n_shards())
+            .map(|_| {
+                (0..n)
+                    .map(|i| {
+                        let id = ReplicaId(i as u32);
+                        let rep = Replica::new(dt.clone(), id, n, config.cluster.replica);
+                        Node::new(rep, None)
+                    })
+                    .collect()
+            })
+            .collect();
+        Self::launch_nodes(dt, table, config, groups, 0)
+    }
+
+    /// Launches a sharded deployment over **pre-built** replica groups,
+    /// each replica paired with its durable backend (outer index =
+    /// shard), under the uniform routing table — the restart-from-disk
+    /// entry point: open every `(shard, replica)` store, recovering
+    /// whatever survives on disk, and hand the recovered replicas here.
+    /// Every replica syncs each input before its effects leave; a failed
+    /// persist stops that node, as if its machine had lost power. New
+    /// clients are numbered above every client identity the recovered
+    /// replicas know.
+    ///
+    /// There is no separate kill: [`Self::shutdown`] stops each core
+    /// before its next input and writes nothing on the way out, so
+    /// discarding what it returns is an abrupt cut of the deployment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is empty, a group's size differs from
+    /// `config.cluster.n_replicas`, or listeners cannot bind.
+    #[allow(clippy::type_complexity)]
+    pub fn launch_durable(
+        dt: T,
+        config: ShardedWireConfig,
+        groups: Vec<Vec<(Replica<T>, Box<dyn Persistence<T>>)>>,
+    ) -> Self {
+        assert!(!groups.is_empty(), "need at least one shard");
+        // A recycled client identity would alias pre-crash operations id
+        // for id: clients number their submissions `(client, seq)` from
+        // zero, and a replica answers a known id from its memo. A
+        // restored replica keeps its checkpointed prefix only as labels,
+        // not as received descriptors, so both are consulted — across
+        // every shard, since one client identity is valid in all of them.
+        let floor = groups
+            .iter()
+            .flatten()
+            .flat_map(|(r, _)| r.local_order().into_iter().chain(r.rcvd().keys().copied()))
+            .map(|id| id.client().0 + 1)
+            .max()
+            .unwrap_or(0);
+        let groups: Vec<Vec<Node<T>>> = groups
+            .into_iter()
+            .map(|g| {
+                assert_eq!(
+                    g.len(),
+                    config.cluster.n_replicas,
+                    "one recovered replica per configured slot"
+                );
+                g.into_iter().map(|(r, s)| Node::new(r, Some(s))).collect()
+            })
+            .collect();
+        let table = RoutingTable::uniform(groups.len() as u32);
+        Self::launch_nodes(dt, table, config, groups, floor)
+    }
+
+    fn launch_nodes(
+        dt: T,
+        table: RoutingTable,
+        config: ShardedWireConfig,
+        groups: Vec<Vec<Node<T>>>,
+        next_client: u32,
+    ) -> Self {
         let table = Arc::new(Mutex::new(table));
-        let shards = (0..n_shards)
-            .map(|s| Self::launch_shard(&dt, s, &table, &config))
+        let shards = groups
+            .into_iter()
+            .enumerate()
+            .map(|(s, nodes)| Self::launch_shard(s as u32, nodes, &table, &config))
             .collect();
         ShardedWireService {
             table,
             shards,
             dt,
-            next_client: 0,
+            next_client,
             obs: config.obs.clone(),
             tracer: config.tracer.clone(),
         }
     }
 
     fn launch_shard(
-        dt: &T,
         shard: u32,
+        nodes: Vec<Node<T>>,
         table: &Arc<Mutex<RoutingTable>>,
         config: &ShardedWireConfig,
     ) -> WireShard<T> {
-        let n = config.cluster.n_replicas;
-        assert!(n > 0, "each shard needs at least one replica");
-        let listeners: Vec<TcpListener> = (0..n)
+        assert!(!nodes.is_empty(), "each shard needs at least one replica");
+        let listeners: Vec<TcpListener> = nodes
+            .iter()
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind localhost"))
             .collect();
         let real: Vec<SocketAddr> = listeners
@@ -297,18 +376,11 @@ where
             shard,
             tracer: config.tracer.clone(),
         });
-        let nodes = listeners
+        let nodes = nodes
             .into_iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let rep = Replica::new(dt.clone(), ReplicaId(i as u32), n, cluster.replica);
-                TcpReplicaNode::spawn_node(
-                    Node::new(rep, None),
-                    l,
-                    addrs.clone(),
-                    &cluster,
-                    Some(table.clone()),
-                )
+            .zip(listeners)
+            .map(|(node, l)| {
+                TcpReplicaNode::spawn_node(node, l, addrs.clone(), &cluster, Some(table.clone()))
             })
             .collect();
         WireShard {
@@ -957,13 +1029,13 @@ mod tests {
         // it is stable at every replica of its shard, so the
         // convergence check below cannot race gossip.
         for shard in 0..2u32 {
-            let key = (0..10)
-                .map(|i| format!("k{i}"))
-                .find(|k| table.shard_of_key(k) == shard)
+            let i = (0..10)
+                .find(|i| table.shard_of_key(&format!("k{i}")) == shard)
                 .expect("both shards have keys");
-            let fence = c.submit(KvOp::get(key), &ids.clone(), true);
-            assert!(
-                c.await_response(fence, Duration::from_secs(30)).is_some(),
+            let fence = c.submit(KvOp::get(format!("k{i}")), &ids.clone(), true);
+            assert_eq!(
+                c.await_response(fence, Duration::from_secs(30)),
+                Some(KvValue::Value(Some(format!("{i}")))),
                 "strict fence on shard {shard} did not stabilize"
             );
         }

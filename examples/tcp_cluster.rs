@@ -3,8 +3,8 @@
 //! reproduction's analogue of Cheiner's MPI-on-workstations system
 //! (paper §11.1).
 //!
-//! The replicas here run the *same* state machines as the simulator and
-//! the threaded runtime; only the transport differs. The example runs a
+//! The replicas here run the *same* state machines as the simulator;
+//! only the transport differs. The example runs a
 //! small directory-service workload (the paper's §11.2 application) over
 //! three replica processes' worth of sockets.
 //!

@@ -2,9 +2,9 @@
 //!
 //! A straightforward MPMC channel over `Mutex<VecDeque>` + `Condvar`:
 //! clonable senders *and* receivers, bounded/unbounded flavours, and
-//! timeout-aware receive — the surface `esds-wire`'s TCP node and
-//! `esds-runtime`'s threaded service use. Throughput is far below real
-//! crossbeam's lock-free queues, but correctness semantics match.
+//! timeout-aware receive — the surface `esds-wire`'s TCP node uses.
+//! Throughput is far below real crossbeam's lock-free queues, but
+//! correctness semantics match.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -43,56 +43,12 @@ pub mod channel {
         Disconnected,
     }
 
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum TryRecvError {
-        Empty,
-        Disconnected,
-    }
-
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub struct RecvError;
-
     #[derive(Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
     impl<T> fmt::Debug for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("SendError(..)")
-        }
-    }
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        Full(T),
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("Full(..)"),
-                TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
-            }
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt::Debug::fmt(self, f)
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt::Debug::fmt(self, f)
-        }
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt::Debug::fmt(self, f)
         }
     }
 
@@ -141,41 +97,9 @@ pub mod channel {
             self.chan.recv_ready.notify_one();
             Ok(())
         }
-
-        /// Never blocks: errors when the channel is full or dead.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut inner = self.chan.inner.lock().unwrap();
-            if inner.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if let Some(cap) = self.chan.cap {
-                if inner.queue.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
-            }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.chan.recv_ready.notify_one();
-            Ok(())
-        }
     }
 
     impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut inner = self.chan.inner.lock().unwrap();
-            loop {
-                if let Some(v) = inner.queue.pop_front() {
-                    drop(inner);
-                    self.chan.send_ready.notify_one();
-                    return Ok(v);
-                }
-                if inner.senders == 0 {
-                    return Err(RecvError);
-                }
-                inner = self.chan.recv_ready.wait(inner).unwrap();
-            }
-        }
-
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
             let mut inner = self.chan.inner.lock().unwrap();
@@ -199,27 +123,6 @@ pub mod channel {
                     .unwrap();
                 inner = guard;
             }
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut inner = self.chan.inner.lock().unwrap();
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.chan.send_ready.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        pub fn len(&self) -> usize {
-            self.chan.inner.lock().unwrap().queue.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -271,17 +174,22 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError, TryRecvError};
+    use super::channel::{bounded, unbounded, RecvTimeoutError};
     use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_secs(5);
 
     #[test]
     fn unbounded_roundtrip_and_disconnect() {
         let (tx, rx) = unbounded();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.try_recv().unwrap(), 2);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(rx.recv_timeout(WAIT).unwrap(), 1);
+        assert_eq!(rx.recv_timeout(WAIT).unwrap(), 2);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        );
         drop(tx);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(1)),
@@ -303,10 +211,10 @@ mod tests {
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         let t = std::thread::spawn(move || tx.send(3).map_err(|_| ()));
-        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(rx.recv_timeout(WAIT).unwrap(), 1);
         t.join().unwrap().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert_eq!(rx.recv().unwrap(), 3);
+        assert_eq!(rx.recv_timeout(WAIT).unwrap(), 2);
+        assert_eq!(rx.recv_timeout(WAIT).unwrap(), 3);
     }
 
     #[test]
@@ -315,8 +223,8 @@ mod tests {
         let rx2 = rx1.clone();
         tx.send(10).unwrap();
         tx.send(20).unwrap();
-        let a = rx1.recv().unwrap();
-        let b = rx2.recv().unwrap();
+        let a = rx1.recv_timeout(WAIT).unwrap();
+        let b = rx2.recv_timeout(WAIT).unwrap();
         assert_eq!(a + b, 30);
     }
 }

@@ -1,6 +1,8 @@
-//! CI durability lane: a durable sharded cluster under a chaos
-//! workload, killed for real (`kill -9` from the workflow), restarted
-//! from the surviving directories, and audited end to end.
+//! CI durability lane: a durable sharded TCP cluster under a steady
+//! mixed workload (puts and gets over 32 keys, about one in seven
+//! strict, eight in flight; no fault injected), killed for real
+//! (`kill -9` from the workflow), restarted from the surviving
+//! directories, and audited end to end.
 //!
 //! ```text
 //! durability_lane run <dir>      # loop forever; the workflow kills -9
@@ -36,22 +38,19 @@ use esds::alg::{Persistence, Replica, ReplicaConfig};
 use esds::audit::{encode_line, parse_line, TraceEvent};
 use esds::core::{OpDescriptor, OpId, ReplicaId, ShardedOpId};
 use esds::datatypes::{KvOp, KvStore, KvValue};
-use esds::runtime::{RuntimeConfig, ShardedClient, ShardedService};
 use esds::spec::{check_converged, AuditEvent, StreamingChecker};
 use esds::store::{DurableConfig, DurableStore, FileStorage};
+use esds::wire::{ShardedWireClient, ShardedWireConfig, ShardedWireService};
 
 const N_SHARDS: usize = 2;
 const N_REPLICAS: usize = 3;
 
 type Groups = Vec<Vec<(Replica<KvStore>, Box<dyn Persistence<KvStore>>)>>;
 
-fn runtime_config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::new(N_REPLICAS);
-    cfg.replica = ReplicaConfig::default().with_durable();
-    cfg
-}
-
-/// Opens every `(shard, replica)` store under `root`. When
+/// Opens every `(shard, replica)` store under `root`, with batched
+/// gossip as the TCP deployments of the `ledger` benchmark run: the
+/// library-default full-snapshot gossip ships a replica's whole history
+/// every round, so its cost grows with the run. When
 /// `require_recovered` is set, a fresh (empty) image is an error — the
 /// recover phase must actually be recovering something.
 fn open_groups(root: &Path, require_recovered: bool) -> Result<Groups, String> {
@@ -68,7 +67,7 @@ fn open_groups(root: &Path, require_recovered: bool) -> Result<Groups, String> {
                         storage,
                         ReplicaId(r as u32),
                         N_REPLICAS,
-                        ReplicaConfig::default(),
+                        ReplicaConfig::default().with_batched(1),
                         DurableConfig {
                             snapshot_every: Some(64),
                         },
@@ -87,7 +86,7 @@ fn open_groups(root: &Path, require_recovered: bool) -> Result<Groups, String> {
         .collect()
 }
 
-/// Deterministic keystream for the chaos workload (no external RNG in
+/// Deterministic keystream for the workload (no external RNG in
 /// a lane binary that must behave identically on every runner).
 struct Lcg(u64);
 
@@ -101,35 +100,37 @@ impl Lcg {
     }
 }
 
-fn trace_request(
-    client: &ShardedClient<KvStore>,
-    gid: ShardedOpId,
-    op: KvOp,
-    strict: bool,
-) -> TraceEvent {
-    let shard = client.shard_of(gid).expect("routed");
-    let local = client.local_id(gid).expect("submitted");
+fn trace_request(client: &ShardedWireClient<KvStore>, gid: ShardedOpId) -> TraceEvent {
+    let (shard, desc) = client.local_descriptor(gid).expect("submitted");
     TraceEvent {
         shard,
-        event: AuditEvent::Request(OpDescriptor::new(local, op).with_strict(strict)),
+        event: AuditEvent::Request(desc),
     }
 }
 
-fn trace_response(client: &ShardedClient<KvStore>, gid: ShardedOpId, value: KvValue) -> TraceEvent {
+fn trace_response(
+    client: &ShardedWireClient<KvStore>,
+    gid: ShardedOpId,
+    value: KvValue,
+) -> TraceEvent {
+    let (shard, desc) = client.local_descriptor(gid).expect("submitted");
     TraceEvent {
-        shard: client.shard_of(gid).expect("routed"),
+        shard,
         event: AuditEvent::Response {
-            id: client.local_id(gid).expect("submitted"),
+            id: desc.id,
             value,
             witness: None,
         },
     }
 }
 
-/// Runs the durable cluster under the chaos workload until killed.
+fn launch(groups: Groups) -> ShardedWireService<KvStore> {
+    ShardedWireService::launch_durable(KvStore, ShardedWireConfig::new(N_REPLICAS), groups)
+}
+
+/// Runs the durable cluster under the workload until killed.
 fn run(root: &Path) -> Result<(), String> {
-    let groups = open_groups(root, false)?;
-    let mut svc = ShardedService::start_durable(KvStore, runtime_config(), groups);
+    let mut svc = launch(open_groups(root, false)?);
     let mut client = svc.client();
 
     let trace_path = root.join("trace.jsonl");
@@ -159,8 +160,8 @@ fn run(root: &Path) -> Result<(), String> {
         } else {
             KvOp::put(&key, format!("v{i}"))
         };
-        let gid = client.submit(op.clone(), &[], strict);
-        emit(&trace_request(&client, gid, op, strict))?;
+        let gid = client.submit(op, &[], strict);
+        emit(&trace_request(&client, gid))?;
         pending.push_back(gid);
         while pending.len() > 8 {
             let gid = pending.pop_front().expect("nonempty");
@@ -217,7 +218,7 @@ fn recover(root: &Path) -> Result<(), String> {
         }
     }
 
-    let mut svc = ShardedService::start_durable(KvStore, runtime_config(), groups);
+    let mut svc = launch(groups);
     let mut client = svc.client();
 
     // Fence every shard: a strict answer pins everything before it as
@@ -228,9 +229,8 @@ fn recover(root: &Path) -> Result<(), String> {
         if fenced.iter().all(|f| *f) {
             break;
         }
-        let op = KvOp::get(format!("fence{j}"));
-        let gid = client.submit(op.clone(), &[], true);
-        events.push(trace_request(&client, gid, op, true));
+        let gid = client.submit(KvOp::get(format!("fence{j}")), &[], true);
+        events.push(trace_request(&client, gid));
         let v = client
             .await_response(gid, Duration::from_secs(60))
             .ok_or_else(|| format!("fence read {gid} unanswered — recovery gate stuck?"))?;

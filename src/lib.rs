@@ -4,7 +4,7 @@
 //! (Fekete, Gupta, Luchangco, Lynch, Shvartsman; PODC 1996 / TCS 220 (1999)
 //! 113–156): the formal specification (ESDS-I / ESDS-II), the lazy-replication
 //! algorithm that implements it, the Section 10 optimizations, a deterministic
-//! discrete-event simulator, a threaded runtime, and the experiment harness
+//! discrete-event simulator, a TCP deployment, and the experiment harness
 //! that regenerates the paper's evaluation.
 //!
 //! This facade crate re-exports the workspace crates under stable module
@@ -90,10 +90,9 @@
 //! );
 //! ```
 //!
-//! The threaded analogue is [`runtime::ShardedService`]; over real
-//! sockets it is [`wire::ShardedWireService`] (one TCP cluster per
-//! shard, with a routing-table-version handshake so reads never route
-//! stale). The routing vocabulary ([`core::KeyedDataType`],
+//! Over real sockets the same deployment is
+//! [`wire::ShardedWireService`] (one TCP cluster per shard, with a
+//! routing-table-version handshake so reads never route stale). The routing vocabulary ([`core::KeyedDataType`],
 //! [`core::ShardRouter`]) lives in `esds-core`. See `ARCHITECTURE.md`
 //! for the full crate map and data flow.
 
@@ -105,7 +104,6 @@ pub use esds_datatypes as datatypes;
 pub use esds_harness as harness;
 pub use esds_mc as mc;
 pub use esds_obs as obs;
-pub use esds_runtime as runtime;
 pub use esds_sim as sim;
 pub use esds_spec as spec;
 pub use esds_store as store;

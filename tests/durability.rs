@@ -1,8 +1,8 @@
-//! Durability of the **threaded shard cluster**: every replica of every
+//! Durability of the **sharded TCP deployment**: every replica of every
 //! shard writes a WAL + stable-prefix snapshots through `esds-store`,
-//! the whole deployment is killed abruptly (`kill -9` analogue — no
+//! the whole deployment is stopped abruptly (`kill -9` analogue — no
 //! flush, no checkpoint, in-flight operations cut wherever they
-//! happen to be), restarted from the on-disk images, and the joined
+//! happen to be), relaunched from the on-disk images, and the joined
 //! pre-/post-crash history is audited per shard with the
 //! [`StreamingChecker`]:
 //!
@@ -17,9 +17,10 @@
 //!   order — pre-crash survivors and post-restart operations explained
 //!   by one serialization each.
 //!
-//! A second test runs the `ESDS-II` conformance observer over a fully
-//! durable simulated system: appending and checkpointing on the hot
-//! path must not change a single observable protocol action.
+//! A second test pins how a restart numbers its clients, and a third
+//! runs the `ESDS-II` conformance observer over a fully durable
+//! simulated system: appending and checkpointing on the hot path must
+//! not change a single observable protocol action.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -29,23 +30,28 @@ use esds::alg::{Persistence, Replica, ReplicaConfig};
 use esds::core::{OpDescriptor, OpId, ReplicaId, ShardedOpId};
 use esds::datatypes::{Counter, CounterOp, KvOp, KvStore, KvValue};
 use esds::harness::{ConformanceObserver, SimSystem, SystemConfig};
-use esds::runtime::{RuntimeConfig, ShardedClient, ShardedService};
 use esds::spec::{check_converged, StreamingChecker};
 use esds::store::{DurableConfig, DurableStore, FileStorage, MemStorage, Storage};
+use esds::wire::{ShardedWireClient, ShardedWireConfig, ShardedWireService};
 
 const N_SHARDS: usize = 2;
 const N_REPLICAS: usize = 3;
 const WAIT: Duration = Duration::from_secs(60);
 
+type Group = Vec<(Replica<KvStore>, Box<dyn Persistence<KvStore>>)>;
+
 /// Opens (or recovers) the durable backends of one shard's replica
-/// group. `expect_recovered` pins whether the directories must be
+/// group of `n` under `root`, checkpointing every `snapshot_every`
+/// records. `expect_recovered` pins whether the directories must be
 /// fresh (first boot) or must contain a recoverable image (restart).
 fn open_group(
     root: &Path,
     shard: usize,
+    n: usize,
+    snapshot_every: u64,
     expect_recovered: bool,
-) -> Vec<(Replica<KvStore>, Box<dyn Persistence<KvStore>>)> {
-    (0..N_REPLICAS)
+) -> Group {
+    (0..n)
         .map(|r| {
             let dir = root.join(format!("shard{shard}")).join(format!("rep{r}"));
             std::fs::create_dir_all(&dir).expect("create WAL directory");
@@ -54,10 +60,10 @@ fn open_group(
                 KvStore,
                 storage,
                 ReplicaId(r as u32),
-                N_REPLICAS,
+                n,
                 ReplicaConfig::default(),
                 DurableConfig {
-                    snapshot_every: Some(16),
+                    snapshot_every: Some(snapshot_every),
                 },
             )
             .expect("open durable store");
@@ -70,40 +76,34 @@ fn open_group(
         .collect()
 }
 
-fn durable_runtime_config() -> RuntimeConfig {
-    let mut cfg = RuntimeConfig::new(N_REPLICAS);
-    cfg.replica = ReplicaConfig::default().with_durable();
-    cfg
+fn launch(root: &Path, expect_recovered: bool) -> ShardedWireService<KvStore> {
+    let groups = (0..N_SHARDS)
+        .map(|s| open_group(root, s, N_REPLICAS, 16, expect_recovered))
+        .collect();
+    ShardedWireService::launch_durable(KvStore, ShardedWireConfig::new(N_REPLICAS), groups)
 }
 
-/// The audit's client-side view of one submission, resolved to the
-/// owning shard's local identities at submission time (the §10.1 memo
-/// may prune stable descriptors from the final replicas, so the test
-/// carries its own copy of every descriptor it created).
+/// The audit's client-side view of one submission: the owning shard's
+/// descriptor at submission time (the §10.1 memo may prune stable
+/// descriptors from the final replicas, so the test carries its own
+/// copy of every descriptor it created).
 struct Sub {
     shard: usize,
     desc: OpDescriptor<KvOp>,
 }
 
-fn log_sub(
-    subs: &mut Vec<Sub>,
-    client: &ShardedClient<KvStore>,
-    gid: ShardedOpId,
-    op: KvOp,
-    prev: &[ShardedOpId],
-    strict: bool,
-) {
-    let shard = client.shard_of(gid).expect("routed") as usize;
-    let local = client.local_id(gid).expect("submitted");
-    // This workload only chains same-key (hence same-shard) `prev`, so
-    // the group-local constraint set is the direct translation.
-    let local_prev: Vec<OpId> = prev
-        .iter()
-        .map(|g| client.local_id(*g).expect("prev submitted"))
-        .collect();
-    let mut desc = OpDescriptor::new(local, op).with_prev(local_prev);
-    desc.strict = strict;
-    subs.push(Sub { shard, desc });
+fn log_sub(subs: &mut Vec<Sub>, client: &ShardedWireClient<KvStore>, gid: ShardedOpId) {
+    let (shard, desc) = client.local_descriptor(gid).expect("submitted");
+    subs.push(Sub {
+        shard: shard as usize,
+        desc,
+    });
+}
+
+/// The owning shard and the shard-local id `gid` was submitted under.
+fn local(client: &ShardedWireClient<KvStore>, gid: ShardedOpId) -> (usize, OpId) {
+    let (shard, desc) = client.local_descriptor(gid).expect("submitted");
+    (shard as usize, desc.id)
 }
 
 #[test]
@@ -113,8 +113,7 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
     let _ = std::fs::remove_dir_all(&root);
 
     // ---- Phase 1: a durable cluster absorbs an answered prefix. ----
-    let groups = (0..N_SHARDS).map(|s| open_group(&root, s, false)).collect();
-    let mut svc = ShardedService::start_durable(KvStore, durable_runtime_config(), groups);
+    let mut svc = launch(&root, false);
     let mut pre = svc.client();
 
     let mut subs: Vec<Sub> = Vec::new();
@@ -134,8 +133,8 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
         };
         let prev: Vec<ShardedOpId> = last_on_key.get(key).copied().into_iter().collect();
         let strict = i % 5 == 0;
-        let gid = pre.submit(op.clone(), &prev, strict);
-        log_sub(&mut subs, &pre, gid, op, &prev, strict);
+        let gid = pre.submit(op, &prev, strict);
+        log_sub(&mut subs, &pre, gid);
         last_on_key.insert(key.clone(), gid);
         answered.push(gid);
     }
@@ -143,48 +142,47 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
         let v = pre
             .await_response(*gid, WAIT)
             .expect("answered before kill");
-        let shard = pre.shard_of(*gid).expect("routed") as usize;
-        responses[shard].push((pre.local_id(*gid).expect("submitted"), v));
+        let (shard, id) = local(&pre, *gid);
+        responses[shard].push((id, v));
     }
     // A strict read per key: its answer is final in the eventual total
     // order (Theorem 5.8) — the restart must not contradict it.
     let mut witnessed: BTreeMap<String, KvValue> = BTreeMap::new();
     for key in &keys {
-        let op = KvOp::get(key);
         let prev: Vec<ShardedOpId> = last_on_key.get(key).copied().into_iter().collect();
-        let gid = pre.submit(op.clone(), &prev, true);
-        log_sub(&mut subs, &pre, gid, op, &prev, true);
+        let gid = pre.submit(KvOp::get(key), &prev, true);
+        log_sub(&mut subs, &pre, gid);
         let v = pre.await_response(gid, WAIT).expect("strict read answered");
-        let shard = pre.shard_of(gid).expect("routed") as usize;
-        responses[shard].push((pre.local_id(gid).expect("submitted"), v.clone()));
+        let (shard, id) = local(&pre, gid);
+        responses[shard].push((id, v.clone()));
         witnessed.insert(key.clone(), v);
     }
     let n_answered = subs.len();
 
-    // ---- Kill -9 mid-chaos: 16 more operations are in flight (on a
+    // ---- Kill -9 mid-workload: 16 more operations are in flight (on a
     // disjoint key range) when the whole cluster dies. Whatever subset
     // reached a synced frame survives; nothing was answered, so any
-    // cut is legal. ----
+    // cut is legal. Shutdown stops every core before its next input
+    // and writes nothing on the way out; the replicas it returns are
+    // discarded, so the disk is all that survives. ----
     for j in 0..16u64 {
         let op = KvOp::put(format!("b{}", j % 8), format!("B{j}"));
-        let gid = pre.submit(op.clone(), &[], false);
-        log_sub(&mut subs, &pre, gid, op, &[], false);
+        let gid = pre.submit(op, &[], false);
+        log_sub(&mut subs, &pre, gid);
     }
     let n_inflight = subs.len() - n_answered;
-    svc.kill();
+    drop(svc.shutdown());
 
     // ---- Phase 2: restart every replica from its on-disk image. ----
-    let groups = (0..N_SHARDS).map(|s| open_group(&root, s, true)).collect();
-    let mut svc = ShardedService::start_durable(KvStore, durable_runtime_config(), groups);
+    let mut svc = launch(&root, true);
     let mut post = svc.client();
 
     // No answered strict response contradicted: the recovered cluster's
     // strict reads see exactly what the pre-kill strict reads witnessed
     // (phase-B traffic touched a disjoint key range).
     for key in &keys {
-        let op = KvOp::get(key);
-        let gid = post.submit(op.clone(), &[], true);
-        log_sub(&mut subs, &post, gid, op, &[], true);
+        let gid = post.submit(KvOp::get(key), &[], true);
+        log_sub(&mut subs, &post, gid);
         let v = post
             .await_response(gid, WAIT)
             .expect("strict read after restart");
@@ -193,8 +191,8 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
             witnessed.get(key),
             "restart contradicted the answered strict read of {key}"
         );
-        let shard = post.shard_of(gid).expect("routed") as usize;
-        responses[shard].push((post.local_id(gid).expect("submitted"), v));
+        let (shard, id) = local(&post, gid);
+        responses[shard].push((id, v));
     }
     // Every shard must carry a post-restart strict op before shutdown:
     // a strict answer makes everything before it stable everywhere in
@@ -211,13 +209,12 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
         if fenced.iter().all(|f| *f) {
             break;
         }
-        let op = KvOp::get(format!("f{j}"));
-        let gid = post.submit(op.clone(), &[], true);
-        log_sub(&mut subs, &post, gid, op, &[], true);
+        let gid = post.submit(KvOp::get(format!("f{j}")), &[], true);
+        log_sub(&mut subs, &post, gid);
         let v = post.await_response(gid, WAIT).expect("fence read answered");
-        let shard = post.shard_of(gid).expect("routed") as usize;
+        let (shard, id) = local(&post, gid);
         fenced[shard] = true;
-        responses[shard].push((post.local_id(gid).expect("submitted"), v));
+        responses[shard].push((id, v));
     }
     assert!(fenced.iter().all(|f| *f), "fence probes missed a shard");
 
@@ -275,6 +272,52 @@ fn shard_cluster_killed_mid_workload_recovers_from_disk() {
     assert!(survivors >= n_answered + post_ops);
     assert!(survivors <= subs.len());
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Regression: a restart must not re-issue a client identity whose
+/// operations survive only in the checkpointed prefix. Checkpointing
+/// after every record leaves both of the old client's operations in the
+/// snapshot — labelled, but not received descriptors — so a floor over
+/// received ids alone hands the new client the old identity: its put
+/// aliases the old put and is answered from the memo without applying,
+/// and its strict read then returns the old value.
+#[test]
+fn restart_numbers_clients_above_the_checkpointed_prefix() {
+    let root: PathBuf =
+        std::env::temp_dir().join(format!("esds-durability-floor-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let launch = |group: Group| {
+        ShardedWireService::launch_durable(KvStore, ShardedWireConfig::new(1), vec![group])
+    };
+
+    let mut svc = launch(open_group(&root, 0, 1, 1, false));
+    let mut old = svc.client();
+    let put = old.submit(KvOp::put("k", "A"), &[], true);
+    assert_eq!(old.await_response(put, WAIT), Some(KvValue::Ack));
+    let get = old.submit(KvOp::get("k"), &[put], true);
+    assert_eq!(
+        old.await_response(get, WAIT),
+        Some(KvValue::Value(Some("A".into())))
+    );
+    drop(svc.shutdown());
+
+    let group = open_group(&root, 0, 1, 1, true);
+    let (rep, _) = &group[0];
+    assert_eq!(rep.local_order().len(), 2, "both operations recovered");
+    assert!(rep.rcvd().is_empty(), "both operations in the prefix");
+    let mut svc = launch(group);
+    let mut new = svc.client();
+    let put = new.submit(KvOp::put("k", "B"), &[], true);
+    assert_eq!(new.await_response(put, WAIT), Some(KvValue::Ack));
+    let get = new.submit(KvOp::get("k"), &[put], true);
+    assert_eq!(
+        new.await_response(get, WAIT),
+        Some(KvValue::Value(Some("B".into()))),
+        "the new client's write was answered as the old client's"
+    );
+    assert!(new.client() > old.client(), "client identity recycled");
+    svc.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end scenarios for the sharded service layer: the `ShardRouter`
 //! partitioning kv/directory workloads across independent replica groups,
 //! cross-shard `prev` enforcement, per-shard convergence, and the
-//! threaded `ShardedService` — all through the `esds` facade.
+//! TCP `ShardedWireService` — all through the `esds` facade.
 
 use std::collections::BTreeMap;
 
@@ -146,13 +146,13 @@ fn routing_is_shared_knowledge() {
     assert_eq!(sys.completed_count(), 20);
 }
 
-/// The threaded sharded runtime answers through the same facade.
+/// The sharded TCP deployment answers through the same facade.
 #[test]
 fn sharded_runtime_end_to_end() {
-    use esds::runtime::{RuntimeConfig, ShardedService};
+    use esds::wire::{ShardedWireConfig, ShardedWireService};
     use std::time::Duration;
 
-    let mut svc = ShardedService::start(KvStore, 3, RuntimeConfig::new(2));
+    let mut svc = ShardedWireService::launch(KvStore, 3, ShardedWireConfig::new(2));
     let mut client = svc.client();
     let mut ids = Vec::new();
     for i in 0..9 {
