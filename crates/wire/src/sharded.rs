@@ -18,10 +18,12 @@
 //! arrive become coordinator inputs, its effects become frames, and the
 //! client's public calls stay blocking by looping *read → input → poll →
 //! write* until the operation they were asked about is released
-//! (`submit`) or answered (`await_response`). Timeouts, the 50 ms
-//! re-send of everything unanswered (paper footnote 3 — requests, like
-//! gossip, may be lost), the `Hello` refresh that rides it, and the
-//! 200 µs nap of a waiting client are driver time, and live here.
+//! (`submit`) or answered (`await_response`). Timeouts, the re-send of
+//! a request that has gone a full 50 ms retry period unanswered since
+//! its last write (paper footnote 3 — requests, like gossip, may be
+//! lost; a request answered sooner is never duplicated), the `Hello`
+//! refresh that rides each re-send, and the 200 µs nap of a waiting
+//! client are driver time, and live here.
 //!
 //! ## The routing-table-version handshake
 //!
@@ -473,6 +475,7 @@ where
             metrics_seen: vec![0; self.shards.len()],
             metrics_last: vec![None; self.shards.len()],
             next_retry: Instant::now() + RETRY_EVERY,
+            retry_due: BTreeSet::new(),
             m_submitted: scope.counter("ops_submitted"),
             m_answered: scope.counter("ops_answered"),
             m_resends: scope.counter("resends"),
@@ -538,6 +541,11 @@ pub struct ShardedWireClient<T: KeyedDataType> {
     metrics_seen: Vec<u64>,
     metrics_last: Vec<Option<esds_obs::MetricsSnapshot>>,
     next_retry: Instant,
+    /// The placements `(shard, local id)` unanswered at the last retry
+    /// tick and not written since: the next tick re-sends exactly these
+    /// (see [`Self::maybe_retry`]). Rebuilt at every tick from the
+    /// coordinator's outstanding placements, so bounded by them.
+    retry_due: BTreeSet<(u32, OpId)>,
     m_submitted: esds_obs::Counter,
     m_answered: esds_obs::Counter,
     m_resends: esds_obs::Counter,
@@ -708,8 +716,9 @@ where
     }
 
     /// Waits until `id` is answered or `timeout` elapses, re-sending
-    /// unanswered requests every 50 ms and processing NAK re-routes
-    /// (for a scattered whole-object query: re-scattering it).
+    /// each request that has gone a full 50 ms retry period unanswered
+    /// since its last write, and processing NAK re-routes (for a
+    /// scattered whole-object query: re-scattering it).
     pub fn await_response(&mut self, id: ShardedOpId, timeout: Duration) -> Option<T::Value> {
         if !self.coord.contains(id) {
             return None;
@@ -785,7 +794,8 @@ where
     }
 
     /// Encodes and sends one request frame to its shard's relay. Failures
-    /// are absorbed — the retry loop re-sends.
+    /// are absorbed — the retry loop re-sends. A write restarts the
+    /// placement's retry clock (see [`Self::maybe_retry`]).
     fn send_request(&mut self, e: Effect<T::Operator>, refresh_hello: bool) {
         let Effect::Send {
             shard,
@@ -796,6 +806,7 @@ where
         else {
             return;
         };
+        self.retry_due.remove(&(shard, desc.id));
         let msg: WireMessage<T::Operator, T::Value> =
             WireMessage::ShardedRequest(ShardedRequestMsg {
                 version,
@@ -807,8 +818,12 @@ where
         self.links[shard as usize].send(self.id, &out, refresh_hello);
     }
 
-    /// Re-sends every unanswered request when the retry period lapses,
-    /// and any stability probe whose own period has.
+    /// At every retry tick, re-sends each request that was already
+    /// unanswered at the previous tick and not written since — so an
+    /// unanswered request goes out again between one and two
+    /// [`RETRY_EVERY`] periods after its last write, and one answered
+    /// sooner is never duplicated. Also re-sends any stability probe
+    /// whose own period has lapsed.
     fn maybe_retry(&mut self) {
         let now = Instant::now();
         for shard in 0..self.links.len() {
@@ -825,10 +840,23 @@ where
         // Hello may have been dropped while the connection stayed up, in
         // which case the node is answering an unregistered client into
         // the void. Re-registering is idempotent and a Hello frame is a
-        // few bytes, so every retry tick repairs registration for free.
+        // few bytes, so every re-send repairs registration for free.
+        //
+        // A request written a few µs before the tick is not re-sent: its
+        // duplicate answer would reach the relay's Nagle-buffered socket
+        // right behind the first, and the client's next answer would
+        // then wait out the client's delayed ACK (~40 ms).
+        let due = std::mem::take(&mut self.retry_due);
         for e in self.coord.unanswered_sends() {
-            self.m_resends.inc();
-            self.send_request(e, true);
+            let Effect::Send { shard, desc, .. } = &e else {
+                continue;
+            };
+            let placement = (*shard, desc.id);
+            if due.contains(&placement) {
+                self.m_resends.inc();
+                self.send_request(e, true);
+            }
+            self.retry_due.insert(placement);
         }
     }
 
@@ -1454,5 +1482,69 @@ mod tests {
         let stats = svc.chaos_stats();
         assert!(stats.forwarded > 0, "proxies must carry the traffic");
         svc.shutdown();
+    }
+
+    /// Drives `n` keyed `Put`/`Get` operations one at a time through a
+    /// fresh 1-shard deployment of `config` with metrics on, and returns
+    /// how many were answered, the client's `resends` counter, and
+    /// `Σ ⌊latency / RETRY_EVERY⌋` over the operations — the most
+    /// re-sends a client may make if it re-sends only requests that
+    /// have gone a full retry period unanswered.
+    fn keyed_ops_one_at_a_time(n: usize, config: ShardedWireConfig) -> (usize, u64, u64) {
+        let reg = esds_obs::MetricsRegistry::new();
+        let mut svc = ShardedWireService::launch(KvStore, 1, config.with_obs(reg.clone()));
+        let mut c = svc.client();
+        let (mut answered, mut allowed) = (0, 0);
+        for i in 0..n {
+            let key = format!("k{}", i % 8);
+            let op = if i % 2 == 0 {
+                KvOp::put(&key, i.to_string())
+            } else {
+                KvOp::get(&key)
+            };
+            let start = Instant::now();
+            let id = c.submit(op, &[], false);
+            if c.await_response(id, Duration::from_secs(30)).is_some() {
+                answered += 1;
+            }
+            allowed += (start.elapsed().as_micros() / RETRY_EVERY.as_micros()) as u64;
+        }
+        let resends = reg
+            .snapshot()
+            .counter(&format!("client{}/resends", c.client().0))
+            .unwrap_or(0);
+        svc.shutdown();
+        (answered, resends, allowed)
+    }
+
+    #[test]
+    fn lossless_link_never_resends_a_request_answered_within_the_retry_period() {
+        // Re-sending a request the relay is about to answer makes it
+        // write two answers back to back on its Nagle-buffered socket,
+        // and the client's next answer then waits out a ~40 ms delayed
+        // ACK. Without loss, a request may only be re-sent after it has
+        // gone a full retry period unanswered.
+        let mut config = ShardedWireConfig::new(3);
+        config.cluster.replica = esds_alg::ReplicaConfig::default().with_batched(1);
+        let (answered, resends, allowed) = keyed_ops_one_at_a_time(400, config);
+        assert_eq!(answered, 400);
+        assert!(
+            resends <= allowed,
+            "{resends} re-sends, but only {allowed} retry periods were waited out"
+        );
+    }
+
+    #[test]
+    fn lost_requests_are_still_resent_and_answered() {
+        // Default (`Full`) gossip: batched deltas assume a link that
+        // loses no frame of a live connection (`ChaosConfig::with_reordering`).
+        const SEED: u64 = 4242;
+        let config = ShardedWireConfig::new(3).with_chaos(ChaosConfig::lossy(0.2, SEED));
+        let (answered, resends, _) = keyed_ops_one_at_a_time(100, config);
+        assert_eq!(answered, 100, "an op went unanswered (chaos seed {SEED})");
+        assert!(
+            resends > 0,
+            "20 % loss without a re-send (chaos seed {SEED})"
+        );
     }
 }

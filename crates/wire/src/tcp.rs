@@ -285,6 +285,16 @@ where
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // Nagle stays on for accepted sockets. Its cost: of two
+                    // responses queued back to back on an otherwise idle
+                    // connection, the second waits for the peer's delayed
+                    // ACK (~40 ms) — which is why the sharded client never
+                    // duplicates a request still within its retry period.
+                    // `set_nodelay(true)` here changes every workload, so
+                    // it is a change of its own: on 2 vCPUs it cut
+                    // `tcp3_durable_pipelined`'s set-up from 0.125 to
+                    // 0.086 s (10 of 10 pairs), throughput within run
+                    // spread.
                     let Ok(write_half) = stream.try_clone() else {
                         continue;
                     };
